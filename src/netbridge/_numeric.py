@@ -9,10 +9,13 @@ def hilbert_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Hilbert projective distance between two nonnegative vectors.
 
     Scale invariant: d(cx, y) = d(x, y) for c > 0.  Vectors with different
-    supports are infinitely far apart; two all-zero vectors are at distance 0.
+    supports are infinitely far apart, and so is a vector holding NaN from
+    anything; two all-zero vectors are at distance 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if np.isnan(x).any() or np.isnan(y).any():
+        return float("inf")
     sx = x > 0.0
     sy = y > 0.0
     if not np.array_equal(sx, sy):

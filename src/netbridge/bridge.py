@@ -21,9 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from ._numeric import hilbert_distance
-from .errors import ConvergenceError, EnumerationCapError, InfeasibleError
-from .graph import PATH_CAP, DirectedGraph, Path, enumerate_feasible_paths
-from .prior import PriorChain, _scaled_product, chain_path_mass
+from .errors import ConvergenceError, InfeasibleError
+from .graph import PATH_CAP, DirectedGraph, Path, enumerate_feasible_paths, \
+    require_routes, step_paths, step_reach
+from .prior import PriorChain, chain_path_mass
 
 
 @dataclass(frozen=True)
@@ -89,16 +90,11 @@ def delta_marginal(n: int, node: int) -> np.ndarray:
 
 
 def _check_feasible(prior: PriorChain, supp0: np.ndarray, suppN: np.ndarray) -> None:
-    # positivity of the N-step kernel is only needed between supported endpoints
-    P, _ = _scaled_product(prior.matrices, (0.0,) * prior.N, prior.n)
-    block = P[np.ix_(supp0, suppN)]
-    if np.any(block == 0.0):
-        bi, bj = np.argwhere(block == 0.0)[0]
-        i = int(np.flatnonzero(supp0)[bi]) + 1
-        j = int(np.flatnonzero(suppN)[bj]) + 1
-        raise InfeasibleError(
-            f"no {prior.N}-step route with positive prior mass from node {i} to node {j}"
-        )
+    # A route between supported endpoints needs positive weight at every
+    # step, whatever the product of those weights; decide on support alone.
+    ends = np.eye(prior.n, dtype=bool)[:, suppN]
+    reach = step_reach(prior.supports, ends)[0]
+    require_routes(reach[supp0], supp0, suppN, prior.N)
 
 
 def solve_schrodinger(prior: PriorChain, nu0, nuN,
@@ -122,7 +118,8 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
         If some supported endpoint pair is not connected by an N-step route
         of positive prior mass.
     ConvergenceError
-        If the sweep cap is reached, or potentials underflow.
+        If the sweep cap is reached, or a potential underflows or overflows
+        (temperature too low for this horizon).
     """
     cfg = config or SolverConfig()
     n = prior.n
@@ -155,21 +152,25 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
         phi[N] = phi_N
         for t in range(N - 1, -1, -1):
             phi[t] = mats[t] @ phi[t + 1]
-        if np.any(phi[0][supp0] == 0.0):
+        # an underflowed potential shows as an infinite (or NaN) reciprocal
+        with np.errstate(divide="ignore", over="ignore"):
+            phi_hat[0] = np.where(supp0, nu0 / np.where(supp0, phi[0], 1.0), 0.0)
+        if not np.all(np.isfinite(phi_hat[0])):
             raise ConvergenceError(
-                "source potential underflowed to zero on supported nodes; "
+                "source potential underflowed on supported nodes; "
                 "temperature is too low for this horizon",
                 iterations=iterations,
             )
-        phi_hat[0] = np.where(supp0, nu0 / np.where(supp0, phi[0], 1.0), 0.0)
         for t in range(N):
             phi_hat[t + 1] = mats[t].T @ phi_hat[t]
-        if np.any(phi_hat[N][suppN] == 0.0):
+        with np.errstate(divide="ignore", over="ignore"):
+            phi_N_new = np.where(suppN, nuN / np.where(suppN, phi_hat[N], 1.0), 0.0)
+        if not np.all(np.isfinite(phi_N_new)):
             raise ConvergenceError(
-                "terminal potential underflowed to zero on supported nodes",
+                "terminal potential underflowed or overflowed on supported nodes; "
+                "temperature is too low for this horizon",
                 iterations=iterations,
             )
-        phi_N_new = np.where(suppN, nuN / np.where(suppN, phi_hat[N], 1.0), 0.0)
         delta = hilbert_distance(phi_N_new, phi_N)
         if delta <= cfg.tol:
             break
@@ -224,39 +225,7 @@ def support_paths(prior: PriorChain, source: int | None = None,
     Like graph enumeration, but against the (possibly time-dependent)
     support of a prior chain; mu0 is ignored.
     """
-    N = prior.N
-    n = prior.n
-    for name, x in (("source", source), ("target", target)):
-        if x is not None and not (1 <= x <= n):
-            raise ValueError(f"{name} node {x} out of range 1..{n}")
-    ok = [np.zeros(n, dtype=bool) for _ in range(N + 1)]
-    if target is None:
-        ok[N][:] = True
-    else:
-        ok[N][target - 1] = True
-    for t in range(N - 1, -1, -1):
-        ok[t] = ((prior.matrices[t] > 0) & ok[t + 1]).any(axis=1)
-    out: list[Path] = []
-    stack: list[int] = []
-
-    def visit(v: int, t: int):
-        stack.append(v)
-        if t == N:
-            if len(out) >= cap:
-                raise EnumerationCapError(f"more than {cap} feasible paths")
-            out.append(tuple(stack))
-        else:
-            row = prior.matrices[t][v - 1]
-            for w in range(1, n + 1):
-                if row[w - 1] > 0 and ok[t + 1][w - 1]:
-                    visit(w, t + 1)
-        stack.pop()
-
-    starts = range(1, n + 1) if source is None else [source]
-    for s in starts:
-        if ok[0][s - 1]:
-            visit(s, 0)
-    return out
+    return step_paths(prior.n, prior.supports, source, target, cap)
 
 
 def most_probable_paths(g: DirectedGraph, measure, source: int, target: int,

@@ -11,8 +11,6 @@ sentinel floats.
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,15 +19,13 @@ from .bridge import BridgeSolution, SolverConfig, as_marginal, path_probability,
     solve_schrodinger
 from .errors import ConvergenceError, InfeasibleBudgetError, InfeasibleError, \
     NetbridgeError
-from .graph import PATH_CAP, DirectedGraph, Path, count_feasible_paths, \
-    enumerate_feasible_paths, path_length
+from .graph import PATH_CAP, DirectedGraph, Path, enumerate_feasible_paths, path_length
 from .metrics import PathMeasure, average_path_length, entropy
 from .oracle import measure_from_bridge
 from .prior import boltzmann_prior
 
 BRACKET_START = (1e-2, 1e2)
 BRACKET_LIMIT = (1e-6, 1e6)
-VARIANCE_ENUM_CAP = 100_000
 
 
 class TemperatureLimit(enum.Enum):
@@ -90,34 +86,9 @@ def expected_length_at(g: DirectedGraph, nu0, nuN, N: int, T: float,
     return average_path_length(sol, g)
 
 
-def length_variance(sol: BridgeSolution, g: DirectedGraph,
-                    enumeration_cap: int = VARIANCE_ENUM_CAP) -> float:
-    """Variance of the total path length under a solved bridge.
-
-    Uses direct enumeration up to `enumeration_cap` paths, otherwise an
-    exact forward second-moment recursion over the chain.
-    """
-    sources = [int(i) + 1 for i in np.flatnonzero(sol.marginals[0] > 0)]
-    total_paths = sum(count_feasible_paths(g, sol.N, source=s) for s in sources)
-    if total_paths <= enumeration_cap:
-        m0 = m1 = m2 = 0.0
-        for s in sources:
-            for p in enumerate_feasible_paths(g, sol.N, source=s):
-                w = path_probability(sol, p)
-                if w == 0.0:
-                    continue
-                l = path_length(g, p)
-                m0 += w
-                m1 += w * l
-                m2 += w * l * l
-        if m0 <= 0.0:
-            return 0.0
-        mean = m1 / m0
-        return max(m2 / m0 - mean * mean, 0.0)
-    return _variance_by_recursion(sol, g)
-
-
-def _variance_by_recursion(sol: BridgeSolution, g: DirectedGraph) -> float:
+def length_variance(sol: BridgeSolution, g: DirectedGraph) -> float:
+    """Variance of the total path length under a solved bridge, by an exact
+    forward second-moment recursion over the chain."""
     # per-node accumulators: occupation w, E[L; X_t=i] a, E[L^2; X_t=i] b
     L = g.length_matrix
     w = sol.marginals[0].copy()
@@ -247,28 +218,13 @@ def calibrate_temperature(g: DirectedGraph, nu0, nuN, N: int, budget,
     return CalibrationResult(float(mid), float(e_mid), bounds, iterations)
 
 
-def _sweep_workers(requested: int | None, rows: int) -> int:
-    limit = os.cpu_count() or 1
-    env = os.environ.get("NETBRIDGE_THREADS")
-    if env is not None:
-        try:
-            limit = min(limit, max(1, int(env)))
-        except ValueError:
-            raise ValueError(f"NETBRIDGE_THREADS must be an integer, got {env!r}")
-    if requested is not None:
-        limit = min(limit, max(1, requested))
-    return max(1, min(limit, rows))
-
-
 def temperature_sweep(g: DirectedGraph, nu0, nuN, N: int, temperatures,
-                      tracked_paths=None, config: SolverConfig | None = None,
-                      max_workers: int | None = None) -> list[SweepRow]:
+                      tracked_paths=None,
+                      config: SolverConfig | None = None) -> list[SweepRow]:
     """Solve the bridge on a grid of temperatures.
 
     Rows come back ordered by temperature; a failure at one temperature is
-    recorded on its row instead of aborting the sweep.  Row evaluation may
-    run on a thread pool, capped by the NETBRIDGE_THREADS environment
-    variable.
+    recorded on its row instead of aborting the sweep.
     """
     temps = sorted(float(T) for T in temperatures)
     if not temps:
@@ -297,11 +253,7 @@ def temperature_sweep(g: DirectedGraph, nu0, nuN, N: int, temperatures,
             return SweepRow(T, nan, nan, nan, {p: nan for p in tracked},
                             error=f"{type(exc).__name__}: {exc}")
 
-    workers = _sweep_workers(max_workers, len(temps))
-    if workers <= 1:
-        return [run(T) for T in temps]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, temps))
+    return [run(T) for T in temps]
 
 
 @dataclass(frozen=True)

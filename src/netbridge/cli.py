@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 usage/input errors, 2 infeasible instances,
-3 non-convergence.  Diagnostics go to stderr; documents go to --output
+3 non-convergence (including potentials that underflow or overflow at very
+low temperature).  Diagnostics go to stderr; documents go to --output
 (default stdout).  All floats in emitted documents are rounded to 12
 significant digits before any derived quantity is computed from them, so a
 document is exactly self-consistent and two runs with the same
@@ -29,8 +30,8 @@ from .calibrate import TemperatureLimit, calibrate_temperature, length_variance,
 from .errors import ConvergenceError, EnumerationCapError, GraphFormatError, \
     InfeasibleBudgetError, InfeasibleError
 from .graph import DirectedGraph, count_feasible_paths, enumerate_feasible_paths, \
-    g9_network, load_graph, path_length
-from .metrics import average_path_length, entropy, free_energy, \
+    g9_network, load_graph, path_length, step_reach
+from .metrics import PathMeasure, average_path_length, entropy, \
     graph_efficiency_stats, total_variation
 from .oracle import conditioned_boltzmann, measure_from_bridge, oracle_bridge
 from .prior import boltzmann_prior
@@ -262,8 +263,6 @@ def build_parser() -> _Parser:
                    help="path (e.g. 1-2-7-9-9) to add as a mass column; repeatable")
     p.add_argument("--track-all", action="store_true",
                    help="track every feasible source->target path")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (capped by NETBRIDGE_THREADS)")
 
     p = sub.add_parser("calibrate",
                        help="find the temperature matching a length budget")
@@ -351,8 +350,7 @@ def cmd_sweep(args) -> int:
                     if p not in tracked:
                         tracked.append(p)
     rows = temperature_sweep(g, nu0, nuN, args.horizon, grid,
-                             tracked_paths=tracked, config=cfg,
-                             max_workers=args.threads)
+                             tracked_paths=tracked, config=cfg)
     for r in rows:
         if r.error:
             print(f"T={r.temperature:g}: {r.error}", file=sys.stderr)
@@ -473,14 +471,15 @@ def cmd_oracle(args) -> int:
     nuN = _resolve_marginal(g.n, args.to_delta, args.to_spec, "to")
     prior = boltzmann_prior(g, args.temperature, args.horizon)
     measure = oracle_bridge(prior, g, nu0, nuN)
-    masses = {_path_key(p): sig12(m) for p, m in sorted(measure.masses.items())}
+    rounded = PathMeasure(args.horizon, {p: sig12(m)
+                                         for p, m in sorted(measure.masses.items())})
+    masses = {_path_key(p): m for p, m in rounded.masses.items()}
     flow = np.zeros((args.horizon + 1, g.n))
-    for k, m in masses.items():
-        for t, x in enumerate(_parse_path(k)):
+    for p, m in rounded.masses.items():
+        for t, x in enumerate(p):
             flow[t, x - 1] += m
-    L = sum(masses[k] * path_length(g, _parse_path(k)) for k in masses)
-    m_arr = np.array(list(masses.values()))
-    S = float(-(m_arr[m_arr > 0] * np.log(m_arr[m_arr > 0])).sum())
+    L = average_path_length(rounded, g)
+    S = entropy(rounded)
     doc = {
         "n": g.n,
         "horizon": args.horizon,
@@ -533,10 +532,9 @@ def _verify_checks(args, g, nu0, nuN, cfg):
                    args.tol_oracle))
 
     rng = np.random.default_rng(args.seed)
-    kernel_ok = np.flatnonzero(
-        np.array([count_feasible_paths(g, N, source=i, target=int(np.argmax(nuN)) + 1)
-                  for i in range(1, g.n + 1)]) > 0)
     target = int(np.argmax(nuN)) + 1
+    kernel_ok = np.flatnonzero(
+        step_reach((g.adjacency,) * N, np.arange(1, g.n + 1) == target)[0])
     dev = 0.0
     if kernel_ok.size > 0 and args.pairs > 0:
         for _ in range(args.pairs):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EnumerationCapError, GraphFormatError
+from .errors import EnumerationCapError, GraphFormatError, InfeasibleError
 
 PATH_CAP = 1_000_000
 
@@ -124,10 +124,7 @@ def load_graph(text: str) -> DirectedGraph:
         if isinstance(length, bool) or not isinstance(length, (int, float)):
             raise GraphFormatError(f"edges[{k}]: 'length' must be a number, got {length!r}")
         edges.append((u, v, float(length)))
-    try:
-        return DirectedGraph(n=n, edges=tuple(edges))
-    except GraphFormatError:
-        raise
+    return DirectedGraph(n=n, edges=tuple(edges))
 
 
 def dump_graph(g: DirectedGraph) -> str:
@@ -159,17 +156,81 @@ def path_length(g: DirectedGraph, p: Sequence[int]) -> float:
     return total
 
 
-def _reach_tables(g: DirectedGraph, N: int, target: int | None) -> list[np.ndarray]:
-    """ok[k][v-1]: a length-k continuation from v exists (ending at target if given)."""
-    A = g.adjacency
-    ok = [np.zeros(g.n, dtype=bool) for _ in range(N + 1)]
-    if target is None:
-        ok[0][:] = True
-    else:
-        ok[0][target - 1] = True
-    for k in range(1, N + 1):
-        ok[k] = (A & ok[k - 1]).any(axis=1)
+def step_reach(supports: Sequence[np.ndarray], ends: np.ndarray) -> list[np.ndarray]:
+    """Which nodes reach the end set along per-step supports.
+
+    `supports[t]` is the boolean n x n support of step t; `ends` is a
+    boolean vector over nodes, or an n x k matrix holding k end sets as
+    columns.  Returns ok with ok[t][v-1] true when some walk from v along
+    steps t..N-1 ends in the end set; ok[N] is `ends` itself.  Only
+    support is used, never weights, so no magnitude can underflow.
+    """
+    ok = [np.asarray(ends, dtype=bool)]
+    for S in reversed(supports):
+        # 0/1 products count walks, at most n per entry: exact in float64
+        ok.append(S.astype(float) @ ok[-1].astype(float) > 0.0)
+    ok.reverse()
     return ok
+
+
+def require_routes(block: np.ndarray, supp0: np.ndarray, suppN: np.ndarray,
+                   N: int) -> None:
+    """Raise InfeasibleError naming the first supported endpoint pair with no route.
+
+    block[a, b] tells whether the a-th node of `supp0` is joined to the b-th
+    node of `suppN` by an N-step route with positive weight at every step.
+    """
+    if block.all():
+        return
+    a, b = np.argwhere(~block)[0]
+    i = int(np.flatnonzero(supp0)[a]) + 1
+    j = int(np.flatnonzero(suppN)[b]) + 1
+    raise InfeasibleError(
+        f"no {N}-step route with positive prior mass from node {i} to node {j}"
+    )
+
+
+def step_paths(n: int, supports: Sequence[np.ndarray], source: int | None = None,
+               target: int | None = None, cap: int = PATH_CAP) -> list[Path]:
+    """All paths x_0..x_N with supports[t][x_t - 1, x_(t+1) - 1] true at every step.
+
+    N is len(supports).  Paths are optionally pinned at one or both
+    endpoints and come back in lexicographic node order.  The depth-first
+    walk enters only successors that step_reach says can still finish, so
+    no branch dies.  Exceeding `cap` paths raises EnumerationCapError
+    rather than truncating.
+    """
+    for name, x in (("source", source), ("target", target)):
+        if x is not None and not (1 <= x <= n):
+            raise ValueError(f"{name} node {x} out of range 1..{n}")
+    N = len(supports)
+    ends = np.ones(n, dtype=bool) if target is None else np.arange(1, n + 1) == target
+    ok = step_reach(supports, ends)
+    live: dict[tuple[int, int], list[int]] = {}  # (t, v) -> successors that finish
+    out: list[Path] = []
+    stack: list[int] = []
+
+    def visit(v: int, t: int):
+        stack.append(v)
+        if t == N:
+            if len(out) >= cap:
+                raise EnumerationCapError(
+                    f"more than {cap} feasible paths; refusing to enumerate"
+                )
+            out.append(tuple(stack))
+        else:
+            nexts = live.get((t, v))
+            if nexts is None:
+                nexts = (np.flatnonzero(supports[t][v - 1] & ok[t + 1]) + 1).tolist()
+                live[(t, v)] = nexts
+            for w in nexts:
+                visit(w, t + 1)
+        stack.pop()
+
+    for s in range(1, n + 1) if source is None else [source]:
+        if ok[0][s - 1]:
+            visit(s, 0)
+    return out
 
 
 def enumerate_feasible_paths(
@@ -181,38 +242,12 @@ def enumerate_feasible_paths(
 ) -> list[Path]:
     """All N-step paths along edges, optionally pinned at one or both endpoints.
 
-    Paths are returned in lexicographic node order.  Enumeration is
-    depth-first with dead branches pruned via k-step reachability tables.
+    Paths are returned in lexicographic node order (see step_paths).
     Exceeding `cap` paths raises EnumerationCapError rather than truncating.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    for name, x in (("source", source), ("target", target)):
-        if x is not None and not (1 <= x <= g.n):
-            raise ValueError(f"{name} node {x} out of range 1..{g.n}")
-    ok = _reach_tables(g, N, target)
-    starts = range(1, g.n + 1) if source is None else [source]
-    out: list[Path] = []
-    stack: list[int] = []
-
-    def visit(v: int, remaining: int):
-        stack.append(v)
-        if remaining == 0:
-            if len(out) >= cap:
-                raise EnumerationCapError(
-                    f"more than {cap} feasible paths; refusing to enumerate"
-                )
-            out.append(tuple(stack))
-        else:
-            for w in g.successors[v - 1]:
-                if ok[remaining - 1][w - 1]:
-                    visit(w, remaining - 1)
-        stack.pop()
-
-    for s in starts:
-        if ok[N][s - 1]:
-            visit(s, N)
-    return out
+    return step_paths(g.n, (g.adjacency,) * N, source, target, cap)
 
 
 def count_feasible_paths(g: DirectedGraph, N: int, source: int | None = None,

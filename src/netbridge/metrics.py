@@ -69,10 +69,8 @@ class EfficiencyReport:
     def __post_init__(self):
         lhs = self.free_energy
         rhs = self.average_length - self.temperature * self.entropy
-        if np.isfinite(lhs) and np.isfinite(rhs):
-            assert abs(lhs - rhs) <= 1e-10, (
-                f"free energy identity violated: {lhs} vs {rhs}"
-            )
+        if np.isfinite(lhs) and np.isfinite(rhs) and abs(lhs - rhs) > 1e-10:
+            raise ValueError(f"free energy identity violated: {lhs} vs {rhs}")
 
 
 def average_path_length(measure, g: DirectedGraph) -> float:

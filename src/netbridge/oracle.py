@@ -16,25 +16,16 @@ import numpy as np
 
 from ._numeric import logsumexp
 from .bridge import BridgeSolution, SolverConfig, as_marginal, delta_marginal, \
-    path_probability, solve_schrodinger, support_paths
-from .errors import ConvergenceError, InfeasibleError
-from .graph import PATH_CAP, DirectedGraph, Path, enumerate_feasible_paths, path_length
+    path_probability, solve_schrodinger
+from .errors import ConvergenceError, InfeasibleError, NetbridgeError
+from .graph import PATH_CAP, DirectedGraph, Path, enumerate_feasible_paths, \
+    path_length, require_routes, step_paths, step_reach
 from .metrics import PathMeasure
-from .prior import PriorChain, check_temperature, ruelle_bowen_chain
+from .prior import PriorChain, chain_path_mass, check_temperature, log_path_weight, \
+    ruelle_bowen_chain
 
 ORACLE_TOL = 1e-13
 ORACLE_MAX_SWEEPS = 1_000_000
-
-
-def _log_transition_product(prior: PriorChain, p: Path) -> float:
-    """log of prod_t M(t)[x_t, x_{t+1}] (true scale, mu0 excluded); -inf if infeasible."""
-    total = sum(prior.log_scales)
-    for t, (a, b) in enumerate(zip(p[:-1], p[1:])):
-        m = prior.matrices[t][a - 1, b - 1]
-        if m == 0.0:
-            return float("-inf")
-        total += float(np.log(m))
-    return total
 
 
 @dataclass(frozen=True)
@@ -51,18 +42,19 @@ def endpoint_kernel(prior: PriorChain, cap: int = PATH_CAP) -> EndpointKernel:
     Computed twice on purpose: once by enumerating paths over the prior's
     support and once as the ordered matrix product of the step matrices.
     The two routes must agree to 1e-12; disagreement means a bookkeeping
-    bug, so it is asserted rather than returned.
+    bug, so it raises NetbridgeError rather than returning either.
     """
     n = prior.n
     by_enum = np.zeros((n, n))
-    for p in support_paths(prior, cap=cap):
-        by_enum[p[0] - 1, p[-1] - 1] += np.exp(_log_transition_product(prior, p))
+    for p in step_paths(n, prior.supports, cap=cap):
+        by_enum[p[0] - 1, p[-1] - 1] += np.exp(log_path_weight(prior, p))
     prod = np.eye(n)
     for t in range(prior.N):
         prod = prod @ prior.matrix(t)
     gap = float(np.abs(by_enum - prod).max())
     scale = max(1.0, float(np.abs(prod).max()))
-    assert gap <= 1e-12 * scale, f"endpoint kernel routes disagree by {gap}"
+    if not gap <= 1e-12 * scale:
+        raise NetbridgeError(f"endpoint kernel routes disagree by {gap}")
     return EndpointKernel(N=prior.N, matrix=prod)
 
 
@@ -87,14 +79,7 @@ def oracle_bridge(prior: PriorChain, g: DirectedGraph, nu0, nuN,
     G = endpoint_kernel(prior, cap=cap).matrix
     supp0 = nu0 > 0.0
     suppN = nuN > 0.0
-    block = G[np.ix_(supp0, suppN)]
-    if np.any(block == 0.0):
-        bi, bj = np.argwhere(block == 0.0)[0]
-        i = int(np.flatnonzero(supp0)[bi]) + 1
-        j = int(np.flatnonzero(suppN)[bj]) + 1
-        raise InfeasibleError(
-            f"no {prior.N}-step route with positive prior mass from node {i} to node {j}"
-        )
+    require_routes(G[np.ix_(supp0, suppN)] > 0.0, supp0, suppN, prior.N)
     a = np.zeros(n)
     b = np.where(suppN, 1.0, 0.0)
     for _ in range(max_sweeps):
@@ -112,10 +97,10 @@ def oracle_bridge(prior: PriorChain, g: DirectedGraph, nu0, nuN,
             residual=max(row_err, col_err), iterations=max_sweeps,
         )
     masses: dict[Path, float] = {}
-    for p in support_paths(prior, cap=cap):
+    for p in step_paths(n, prior.supports, cap=cap):
         if a[p[0] - 1] == 0.0 or b[p[-1] - 1] == 0.0:
             continue
-        log_m = _log_transition_product(prior, p)
+        log_m = log_path_weight(prior, p)
         mass = a[p[0] - 1] * b[p[-1] - 1] * float(np.exp(log_m))
         if mass > 0.0:
             masses[p] = mass
@@ -123,29 +108,20 @@ def oracle_bridge(prior: PriorChain, g: DirectedGraph, nu0, nuN,
 
 
 def conditioned_boltzmann(g: DirectedGraph, T: float, N: int,
-                          source: int, target: int,
+                          source: int | None = None, target: int | None = None,
                           cap: int = PATH_CAP) -> PathMeasure:
-    """Boltzmann measure exp(-l/T)/Z restricted to source -> target N-step paths.
+    """Boltzmann measure exp(-l/T)/Z over the feasible N-step paths, optionally
+    restricted to those leaving `source` and/or entering `target`.
 
-    This is the closed-form answer for a delta-pinned bridge over the
-    Boltzmann prior; normalization happens in log space.
+    Pinned at both ends this is the closed-form answer for a delta-pinned
+    bridge over the Boltzmann prior; normalization happens in log space.
     """
     check_temperature(T)
     paths = enumerate_feasible_paths(g, N, source=source, target=target, cap=cap)
     if not paths:
-        raise InfeasibleError(f"no {N}-step path from node {source} to node {target}")
-    logw = np.array([-path_length(g, p) / T for p in paths])
-    logz = logsumexp(logw)
-    return PathMeasure(N, {p: float(np.exp(lw - logz)) for p, lw in zip(paths, logw)})
-
-
-def boltzmann_path_measure(g: DirectedGraph, T: float, N: int,
-                           cap: int = PATH_CAP) -> PathMeasure:
-    """Normalized Boltzmann measure over all feasible N-step paths (any endpoints)."""
-    check_temperature(T)
-    paths = enumerate_feasible_paths(g, N, cap=cap)
-    if not paths:
-        raise InfeasibleError(f"no feasible {N}-step paths")
+        raise InfeasibleError(f"no feasible {N}-step path"
+                              + (f" from node {source}" if source is not None else "")
+                              + (f" to node {target}" if target is not None else ""))
     logw = np.array([-path_length(g, p) / T for p in paths])
     logz = logsumexp(logw)
     return PathMeasure(N, {p: float(np.exp(lw - logz)) for p, lw in zip(paths, logw)})
@@ -165,9 +141,8 @@ def measure_from_bridge(sol: BridgeSolution, g: DirectedGraph,
 
 def measure_from_chain(prior: PriorChain, cap: int = PATH_CAP) -> PathMeasure:
     """Expand a prior chain into its explicit (possibly unnormalized) path measure."""
-    from .prior import chain_path_mass
     masses: dict[Path, float] = {}
-    for p in support_paths(prior, cap=cap):
+    for p in step_paths(prior.n, prior.supports, cap=cap):
         m = chain_path_mass(prior, p)
         if m > 0.0:
             masses[p] = m
@@ -196,10 +171,7 @@ def verify_equal_length_masses(g: DirectedGraph, T: float, N: int,
     """
     prior = ruelle_bowen_chain(g, T, N)
     cfg = config or SolverConfig()
-    A = g.adjacency
-    reach = np.eye(g.n, dtype=bool)
-    for _ in range(N):
-        reach = (reach.astype(np.uint8) @ A.astype(np.uint8)) > 0
+    reach = step_reach((g.adjacency,) * N, np.eye(g.n, dtype=bool))[0]
     pairs = 0
     max_spread = 0.0
     dominates = True

@@ -71,6 +71,11 @@ class PriorChain:
         """True (unscaled) transition-weight matrix for step t."""
         return np.exp(self.log_scales[t]) * self.matrices[t]
 
+    @property
+    def supports(self) -> tuple[np.ndarray, ...]:
+        """Boolean support M > 0 of each step matrix."""
+        return tuple(M > 0 for M in self.matrices)
+
 
 @dataclass(frozen=True)
 class PerronTriple:
@@ -126,10 +131,11 @@ def boltzmann_prior(g: DirectedGraph, T: float, N: int) -> PriorChain:
     return PriorChain(matrices=(M,) * N, mu0=mu0, log_scales=(log_scale,) * N)
 
 
-def chain_path_mass(prior: PriorChain, p: Sequence[int]) -> float:
-    """Mass mu0(x0) * prod_t M(t)[x_t, x_{t+1}] of one path; 0 if infeasible.
+def log_path_weight(prior: PriorChain, p: Sequence[int]) -> float:
+    """log of prod_t M(t)[x_t, x_{t+1}] at true scale (mu0 excluded); -inf if
+    some step of the path has no weight.
 
-    Evaluated in log space so long low-temperature products do not underflow
+    Summed in log space so long low-temperature products do not underflow
     step by step.
     """
     p = tuple(p)
@@ -139,15 +145,20 @@ def chain_path_mass(prior: PriorChain, p: Sequence[int]) -> float:
     for x in p:
         if not (1 <= x <= n):
             raise ValueError(f"node {x} out of range 1..{n}")
-    if prior.mu0[p[0] - 1] == 0.0:
-        return 0.0
-    log_mass = np.log(prior.mu0[p[0] - 1]) + sum(prior.log_scales)
+    total = sum(prior.log_scales)
     for t, (a, b) in enumerate(zip(p[:-1], p[1:])):
         m = prior.matrices[t][a - 1, b - 1]
         if m == 0.0:
-            return 0.0
-        log_mass += np.log(m)
-    return float(np.exp(log_mass))
+            return float("-inf")
+        total += float(np.log(m))
+    return total
+
+
+def chain_path_mass(prior: PriorChain, p: Sequence[int]) -> float:
+    """Mass mu0(x0) * prod_t M(t)[x_t, x_{t+1}] of one path; 0 if infeasible."""
+    log_w = log_path_weight(prior, p)
+    start = prior.mu0[p[0] - 1]
+    return 0.0 if start == 0.0 else float(np.exp(np.log(start) + log_w))
 
 
 def _scaled_product(matrices: Sequence[np.ndarray], log_scales: Sequence[float],
@@ -197,7 +208,8 @@ def _primitivity_witness(B: np.ndarray) -> tuple[bool, tuple[int, int, int] | No
     while k < bound:
         if P.all():
             return True, None
-        P = (P.astype(np.uint8) @ P.astype(np.uint8)) > 0
+        # 0/1 products count walks, at most n per entry: exact in float64
+        P = (P.astype(float) @ P.astype(float)) > 0
         k *= 2
     if P.all():
         return True, None

@@ -16,9 +16,9 @@ from netbridge import (
     InfeasibleBudgetError,
     PathMeasure,
     TemperatureLimit,
-    boltzmann_path_measure,
     boltzmann_prior,
     calibrate_temperature,
+    conditioned_boltzmann,
     count_feasible_paths,
     delta_marginal,
     enumerate_feasible_paths,
@@ -307,7 +307,7 @@ def test_free_energy_splits_into_divergence_and_log_partition(g9):
         w /= w.sum()
         P = PathMeasure(4, {family[i]: float(wi) for i, wi in zip(idx, w)})
         lhs = free_energy(P, T, g9).free_energy
-        rhs = (T * relative_entropy(P, boltzmann_path_measure(g9, T, 4))
+        rhs = (T * relative_entropy(P, conditioned_boltzmann(g9, T, 4))
                - T * math.log(partition_function(g9, T, 4)))
         worst = max(worst, abs(lhs - rhs))
     report("F(P,T) = T D(P || P*_T) - T ln Z(T) for 20 random measures",

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from netbridge import (
     BridgeSolution,
+    ConvergenceError,
+    DirectedGraph,
     InfeasibleError,
     PriorChain,
     SolverConfig,
@@ -23,6 +26,7 @@ from netbridge import (
     solve_schrodinger,
     support_paths,
 )
+from netbridge._numeric import hilbert_distance
 from conftest import random_graph
 
 
@@ -136,6 +140,42 @@ class TestSolve:
         cond = conditioned_boltzmann(g9, T, 4, 1, 9)
         for p, want in cond.masses.items():
             assert path_probability(sol, p) == pytest.approx(want, abs=1e-12)
+
+    def test_low_temperature_underflow_is_not_infeasibility(self, g9):
+        # 1-2-7-9-9 is a 4-step route, but exp(-3/0.002) underflows to 0
+        with pytest.raises(ConvergenceError, match="temperature is too low"):
+            solve_schrodinger(boltzmann_prior(g9, 0.002, 4),
+                              delta(9, 1), delta(9, 9))
+
+    def test_overflowing_potential_raises(self):
+        # phi[0] underflows to a subnormal and nu0 / phi[0] overflows
+        g = random_graph(np.random.default_rng(1), 200, 0.04)
+        with pytest.raises(ConvergenceError, match="temperature is too low"):
+            solve_schrodinger(boltzmann_prior(g, 0.005, 20),
+                              delta(200, 1), delta(200, 2))
+
+    def test_nan_vectors_are_infinitely_far_apart(self):
+        nan = np.full(3, np.nan)
+        assert hilbert_distance(nan, nan) == math.inf
+        assert hilbert_distance(nan, np.ones(3)) == math.inf
+
+    @settings(max_examples=100)
+    @given(st.data(), st.integers(1, 4), st.floats(-3.0, 3.0))
+    def test_routes_in_the_prior_support_are_feasible(self, data, N, log10_T):
+        n = data.draw(st.integers(2, 6))
+        lengths = data.draw(st.lists(st.none() | st.floats(0.0, 3.0),
+                                     min_size=n * n, max_size=n * n))
+        edges = tuple((i // n + 1, i % n + 1, w) for i, w in enumerate(lengths)
+                      if w is not None)
+        assume(edges)
+        g = DirectedGraph(n, edges)
+        src, tgt = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+        prior = boltzmann_prior(g, 10.0 ** log10_T, N)
+        assume(support_paths(prior, src, tgt))
+        try:
+            solve_schrodinger(prior, delta(n, src), delta(n, tgt))
+        except ConvergenceError:
+            pass  # potentials may underflow at low T; that is not infeasibility
 
     def test_solver_config_respected(self, g9):
         sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 3),

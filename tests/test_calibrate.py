@@ -1,7 +1,6 @@
 """Temperature calibration, sweeps, variance identities, transport limit."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -16,9 +15,12 @@ from netbridge import (
     boltzmann_prior,
     calibrate_temperature,
     delta_marginal,
+    enumerate_feasible_paths,
     expected_length_at,
     length_variance,
     omt_approximation,
+    path_length,
+    path_probability,
     solve_schrodinger,
     temperature_sweep,
 )
@@ -100,9 +102,11 @@ class TestVariance:
     def test_enumeration_and_recursion_agree(self, g9):
         sol = solve_schrodinger(boltzmann_prior(g9, 0.9, 4),
                                 delta(9, 1), delta(9, 9))
-        by_enum = length_variance(sol, g9)
-        by_recursion = length_variance(sol, g9, enumeration_cap=0)
-        assert by_enum == pytest.approx(by_recursion, abs=1e-12)
+        weighted = [(path_probability(sol, p), path_length(g9, p))
+                    for p in enumerate_feasible_paths(g9, 4, source=1)]
+        mean = sum(w * l for w, l in weighted)
+        by_enum = sum(w * (l - mean) ** 2 for w, l in weighted)
+        assert length_variance(sol, g9) == pytest.approx(by_enum, abs=1e-12)
         assert by_enum > 0.0
 
     def test_derivative_identity(self, g9):
@@ -140,23 +144,6 @@ class TestSweep:
         rows = temperature_sweep(g9, delta(9, 1), delta(9, 9), 3, [1.0])
         assert rows[0].marginal_flow.shape == (4, 9)
         assert rows[0].marginal_flow[1, 1] == pytest.approx(1.0 / 3.0, abs=1e-10)
-
-    def test_thread_pool_matches_serial(self, g9, monkeypatch):
-        grid = [0.2, 0.7, 1.5, 4.0]
-        serial = temperature_sweep(g9, delta(9, 1), delta(9, 9), 4, grid,
-                                   max_workers=1)
-        monkeypatch.setenv("NETBRIDGE_THREADS", "4")
-        threaded = temperature_sweep(g9, delta(9, 1), delta(9, 9), 4, grid,
-                                     max_workers=4)
-        for a, b in zip(serial, threaded):
-            assert a.average_length == b.average_length
-            assert a.entropy == b.entropy
-
-    def test_thread_env_cap_validated(self, g9, monkeypatch):
-        monkeypatch.setenv("NETBRIDGE_THREADS", "many")
-        with pytest.raises(ValueError):
-            temperature_sweep(g9, delta(9, 1), delta(9, 9), 3, [1.0, 2.0],
-                              max_workers=2)
 
     def test_empty_grid_rejected(self, g9):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import pytest
 from netbridge import BridgeSolution, PathMeasure, average_path_length, \
     dump_graph, entropy, g9_network
 from netbridge.cli import main
+from conftest import random_graph
 
 
 def run(capsys, *argv):
@@ -115,6 +116,24 @@ class TestExitCodes:
                            "--to-delta", "6", "-N", "2", "-T", "1")
         assert code == 2
         assert "infeasible" in err
+
+    def test_feasible_pair_too_cold_is_exit_three(self, capsys):
+        # 1-2-7-9-9 is a 4-step route; its weight exp(-3/0.002) underflows
+        code, _, err = run(capsys, "solve", "--graph", "g9", "--from-delta", "1",
+                           "--to-delta", "9", "-N", "4", "-T", "0.002")
+        assert code == 3
+        assert "temperature is too low" in err
+
+    def test_overflowing_potential_writes_no_document(self, tmp_path, capsys):
+        graph = tmp_path / "g200.json"
+        graph.write_text(dump_graph(random_graph(np.random.default_rng(1), 200, 0.04)))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, "solve", "--graph", str(graph), "--from-delta", "1",
+                           "--to-delta", "2", "-N", "20", "-T", "0.005",
+                           "--output", str(out))
+        assert code == 3
+        assert "temperature is too low" in err
+        assert not out.exists()
 
     def test_conflicting_marginal_flags(self, capsys):
         code, _, err = run(capsys, "solve", "--graph", "g9", "--from-delta", "1",

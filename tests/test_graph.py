@@ -1,10 +1,12 @@
 """Graph container, document round trips, and path enumeration."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netbridge import (
     DirectedGraph,
@@ -18,6 +20,7 @@ from netbridge import (
     path_length,
     shortest_path_matrix,
 )
+from netbridge.graph import step_paths, step_reach
 from conftest import random_graph
 
 
@@ -172,6 +175,53 @@ class TestEnumeration:
     def test_infeasible_pair_is_empty(self, g9):
         assert enumerate_feasible_paths(g9, 2, source=1, target=9) == []
         assert enumerate_feasible_paths(g9, 3, source=9, target=1) == []
+
+
+@st.composite
+def step_supports(draw):
+    """n <= 6 nodes and N <= 4 steps, each with its own random support."""
+    n = draw(st.integers(1, 6))
+    N = draw(st.integers(0, 4))
+    cells = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+    supports = tuple(np.array(draw(cells)).reshape(n, n) for _ in range(N))
+    return n, supports
+
+
+def brute_force_paths(n, supports):
+    """Every node sequence of the right length, kept when each step is supported."""
+    return [p for p in itertools.product(range(1, n + 1), repeat=len(supports) + 1)
+            if all(S[a - 1, b - 1] for S, a, b in zip(supports, p, p[1:]))]
+
+
+class TestStepRoutines:
+    @settings(max_examples=100)
+    @given(step_supports(), st.data())
+    def test_enumerator_matches_brute_force(self, case, data):
+        n, supports = case
+        source = data.draw(st.none() | st.integers(1, n))
+        target = data.draw(st.none() | st.integers(1, n))
+        want = [p for p in brute_force_paths(n, supports)
+                if source in (None, p[0]) and target in (None, p[-1])]
+        assert step_paths(n, supports, source, target) == want
+
+    @settings(max_examples=100)
+    @given(step_supports())
+    def test_reach_matches_enumeration(self, case):
+        n, supports = case
+        paths = brute_force_paths(n, supports)
+        want = np.zeros((n, n), dtype=bool)
+        for p in paths:
+            want[p[0] - 1, p[-1] - 1] = True
+        assert (step_reach(supports, np.eye(n, dtype=bool))[0] == want).all()
+        for j in range(1, n + 1):
+            column = step_reach(supports, np.arange(1, n + 1) == j)[0]
+            assert (column == want[:, j - 1]).all()
+
+    def test_reach_counts_do_not_wrap(self):
+        # K_257 without self-loops: every node has 256 in-neighbours, which
+        # an 8-bit walk count would wrap to zero
+        A = ~np.eye(257, dtype=bool)
+        assert step_reach((A, A), np.eye(257, dtype=bool))[0].all()
 
 
 class TestShortestPaths:

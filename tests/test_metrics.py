@@ -9,8 +9,8 @@ from netbridge import (
     DirectedGraph,
     PathMeasure,
     average_path_length,
-    boltzmann_path_measure,
     boltzmann_prior,
+    conditioned_boltzmann,
     delta_marginal,
     entropy,
     enumerate_feasible_paths,
@@ -92,7 +92,7 @@ class TestEntropy:
 
 class TestRelativeEntropy:
     def test_self_divergence_zero(self, g9):
-        m = boltzmann_path_measure(g9, 1.0, 3)
+        m = conditioned_boltzmann(g9, 1.0, 3)
         assert relative_entropy(m, m) == pytest.approx(0.0, abs=1e-14)
 
     def test_manual_two_point(self):
@@ -109,7 +109,7 @@ class TestRelativeEntropy:
     def test_against_prior_chain(self, g9):
         prior = boltzmann_prior(g9, 1.0, 3)
         from netbridge import measure_from_chain
-        P = boltzmann_path_measure(g9, 1.0, 3)
+        P = conditioned_boltzmann(g9, 1.0, 3)
         chain_route = relative_entropy(P, prior)
         measure_route = relative_entropy(P, measure_from_chain(prior))
         assert chain_route == pytest.approx(measure_route, abs=1e-11)
@@ -117,7 +117,7 @@ class TestRelativeEntropy:
 
 class TestFreeEnergy:
     def test_identity_holds(self, g9):
-        m = boltzmann_path_measure(g9, 2.0, 4)
+        m = conditioned_boltzmann(g9, 2.0, 4)
         rep = free_energy(m, 2.0, g9)
         assert rep.free_energy == pytest.approx(
             rep.average_length - 2.0 * rep.entropy, abs=1e-12)
@@ -126,7 +126,7 @@ class TestFreeEnergy:
     def test_boltzmann_minimizes_free_energy(self, g9):
         # any competing measure on the same family pays at least as much
         T = 1.0
-        star = boltzmann_path_measure(g9, T, 4)
+        star = conditioned_boltzmann(g9, T, 4)
         f_star = free_energy(star, T, g9).free_energy
         rng = np.random.default_rng(13)
         paths = list(star.masses)
@@ -137,7 +137,7 @@ class TestFreeEnergy:
 
     def test_free_energy_equals_minus_t_log_z(self, g9):
         T = 0.7
-        star = boltzmann_path_measure(g9, T, 3)
+        star = conditioned_boltzmann(g9, T, 3)
         want = -T * math.log(partition_function(g9, T, 3))
         assert free_energy(star, T, g9).free_energy == \
             pytest.approx(want, abs=1e-11)
@@ -145,7 +145,7 @@ class TestFreeEnergy:
 
 class TestTotalVariation:
     def test_identical_measures(self, g9):
-        m = boltzmann_path_measure(g9, 1.0, 3)
+        m = conditioned_boltzmann(g9, 1.0, 3)
         assert total_variation(m, m) == 0.0
 
     def test_disjoint_measures(self):

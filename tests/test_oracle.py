@@ -6,16 +6,20 @@ is evidence, not tautology.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netbridge
 from netbridge import (
     EnumerationCapError,
     InfeasibleError,
     PathMeasure,
     as_marginal,
-    boltzmann_path_measure,
     boltzmann_prior,
     conditioned_boltzmann,
     delta_marginal,
@@ -87,14 +91,14 @@ class TestConditionedBoltzmann:
 class TestBoltzmannFamily:
     def test_masses_proportional_to_weight(self, g9):
         T = 1.7
-        m = boltzmann_path_measure(g9, T, 3)
+        m = conditioned_boltzmann(g9, T, 3)
         Z = partition_function(g9, T, 3)
         for p, mass in m.masses.items():
             assert mass == pytest.approx(
                 math.exp(-path_length(g9, p) / T) / Z, rel=1e-11)
 
     def test_total_one(self, g9):
-        assert boltzmann_path_measure(g9, 0.9, 4).total() == \
+        assert conditioned_boltzmann(g9, 0.9, 4).total() == \
             pytest.approx(1.0, abs=1e-12)
 
 
@@ -181,3 +185,31 @@ class TestEqualLengthReport:
         for T in (0.2, 2.0, 25.0):
             rep = verify_equal_length_masses(g9, T, 4)
             assert rep.max_spread <= 1e-10
+
+
+OPTIMIZED_CHECKS = """
+import netbridge.oracle as oracle
+from netbridge import EfficiencyReport, NetbridgeError, boltzmann_prior, g9_network
+
+try:
+    EfficiencyReport(average_length=1.0, entropy=1.0, free_energy=5.0,
+                     temperature=1.0)
+except ValueError:
+    print("report raised")
+
+enumerate_all = oracle.step_paths
+oracle.step_paths = lambda *a, **k: enumerate_all(*a, **k)[1:]  # lose one path
+try:
+    oracle.endpoint_kernel(boltzmann_prior(g9_network(), 1.0, 2))
+except NetbridgeError:
+    print("kernel raised")
+"""
+
+
+def test_consistency_checks_survive_optimize_flag():
+    # `python -O` strips assert statements; these checks must still raise
+    env = dict(os.environ, PYTHONPATH=str(Path(netbridge.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["report raised", "kernel raised"]

@@ -170,6 +170,12 @@ class TestPerron:
         res = perron(FIBONACCI, require_primitive=True)
         assert res.primitive
 
+    def test_primitivity_witness_does_not_wrap(self):
+        # K_257 without self-loops is primitive (B^2 > 0), but 256 in-neighbours
+        # wrap to zero in 8-bit walk counts
+        res = perron(np.ones((257, 257)) - np.eye(257), require_primitive=True)
+        assert res.primitive
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ConvergenceError):
             perron(np.zeros((3, 3)))
