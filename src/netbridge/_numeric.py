@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -28,7 +30,7 @@ def hilbert_distance(x: np.ndarray, y: np.ndarray) -> float:
 
 def sig12(x: float) -> float:
     """Round to 12 significant digits (the fixed output precision)."""
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         return float(x)
     return float(f"{x:.12g}")
 

@@ -26,6 +26,9 @@ from .prior import boltzmann_prior
 
 BRACKET_START = (1e-2, 1e2)
 BRACKET_LIMIT = (1e-6, 1e6)
+# a failed probe is searched past until the temperatures on either side of
+# the last breakdown are within this ratio
+EDGE_RATIO = 1.01
 
 
 class TemperatureLimit(enum.Enum):
@@ -125,6 +128,47 @@ def _delta_family_lengths(g: DirectedGraph, nu0: np.ndarray, nuN: np.ndarray,
     return sorted(path_length(g, p) for p in paths)
 
 
+def _bracket_end(probe, beyond, T: float, limit: float, inner: float,
+                 e_inner: float | None = None) -> tuple[float, float]:
+    """One end of the bisection bracket on log T.
+
+    Starting at T, squares T toward `limit` while the probed length is
+    still beyond the budget (`beyond(e)` is true).  A probe that fails to
+    evaluate means "unknown", not "beyond": the end then retreats toward
+    the nearest temperature that evaluated, or `inner` (the other end, with
+    its length `e_inner` if known), by bisection on log T until a probe
+    evaluates.  Returns (T, e), where e is beyond the budget only if T is
+    the bracket limit.  Raises ConvergenceError when the budget needs a
+    temperature past the last one at which the length evaluates.
+    """
+    low = limit < 1.0
+    failed = None
+    while True:
+        e = probe(T)
+        if e is not None and not beyond(e):
+            return T, e
+        if e is not None:
+            inner, e_inner = T, e
+            if failed is None:
+                if T == limit:
+                    return T, e
+                # double the exponent
+                T = max(T * T, limit) if low else min(T * T, limit)
+                continue
+        else:
+            failed = T
+        if max(inner, failed) / min(inner, failed) <= EDGE_RATIO:
+            if e_inner is None:
+                raise ConvergenceError(
+                    f"expected length could not be evaluated between T={failed:.6g} "
+                    f"and T={inner:.6g}")
+            raise ConvergenceError(
+                f"the budget needs a temperature {'below' if low else 'above'} "
+                f"T={inner:.6g}, the {'lowest' if low else 'highest'} at which the "
+                f"expected length evaluates (it is {e_inner:.12g} there)")
+        T = float(np.sqrt(failed * inner))
+
+
 def calibrate_temperature(g: DirectedGraph, nu0, nuN, N: int, budget,
                           tol: float = 1e-8,
                           config: SolverConfig | None = None) -> CalibrationResult:
@@ -139,7 +183,10 @@ def calibrate_temperature(g: DirectedGraph, nu0, nuN, N: int, budget,
 
     Interior solutions come from bisection on log T, starting on the bracket
     [1e-2, 1e2] and doubling the exponent range up to [1e-6, 1e6] before an
-    end is declared out of reach.
+    end is declared out of reach.  A temperature at which the length fails
+    to evaluate is never taken as an end: the bracket moves back inward
+    past it, and a budget that needs a temperature beyond the last one that
+    evaluates raises ConvergenceError.
     """
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -175,25 +222,16 @@ def calibrate_temperature(g: DirectedGraph, nu0, nuN, N: int, budget,
         except (ConvergenceError, InfeasibleError):
             return None  # numeric breakdown at an extreme temperature
 
-    lo, hi = BRACKET_START
-    e_lo = probe(lo)
-    while (e_lo is None or e_lo > target) and lo > BRACKET_LIMIT[0] * 1.0001:
-        lo = max(lo * lo, BRACKET_LIMIT[0])  # double the exponent
-        e_lo = probe(lo)
-    e_hi = probe(hi)
-    while (e_hi is None or e_hi < target) and hi < BRACKET_LIMIT[1] * 0.9999:
-        hi = min(hi * hi, BRACKET_LIMIT[1])
-        e_hi = probe(hi)
-
-    if e_lo is None and e_hi is None:
-        raise ConvergenceError("expected length could not be evaluated anywhere "
-                               "on the temperature bracket")
-    if e_lo is None or e_lo > target:
-        achieved = bounds[0] if bounds else (e_lo if e_lo is not None else float("nan"))
-        return CalibrationResult(TemperatureLimit.ZERO, achieved, bounds, 0)
-    if e_hi is None or e_hi < target:
-        achieved = bounds[1] if bounds else (e_hi if e_hi is not None else float("nan"))
-        return CalibrationResult(TemperatureLimit.INFINITY, achieved, bounds, 0)
+    lo, e_lo = _bracket_end(probe, lambda e: e > target, BRACKET_START[0],
+                            BRACKET_LIMIT[0], BRACKET_START[1])
+    if e_lo > target:
+        return CalibrationResult(TemperatureLimit.ZERO,
+                                 bounds[0] if bounds else e_lo, bounds, 0)
+    hi, e_hi = _bracket_end(probe, lambda e: e < target, BRACKET_START[1],
+                            BRACKET_LIMIT[1], lo, e_lo)
+    if e_hi < target:
+        return CalibrationResult(TemperatureLimit.INFINITY,
+                                 bounds[1] if bounds else e_hi, bounds, 0)
 
     iterations = 0
     mid, e_mid = lo, e_lo

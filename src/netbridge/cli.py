@@ -8,6 +8,13 @@ significant digits before any derived quantity is computed from them, so a
 document is exactly self-consistent and two runs with the same
 configuration produce byte-identical output.  JSON has no literals for
 non-finite numbers; they are emitted as the strings "inf", "-inf", "nan".
+
+The `solve` flow document ("format": 2) writes its transitions per graph
+edge: "edges" lists the [u, v] pairs in the graph's edge order and
+"transitions" holds N lists of E numbers, entry e of step t being
+Pi_t[u_e, v_e] (zeros on rows that carry no mass).  The bridge has no mass
+off the graph's edges, so placing each entry into an n x n zero matrix
+rebuilds Pi_t exactly.
 """
 
 from __future__ import annotations
@@ -102,6 +109,10 @@ def _jsonify(x):
     if isinstance(x, (list, tuple)):
         return [_jsonify(v) for v in x]
     if isinstance(x, np.ndarray):
+        # one tolist() per array; only an array holding a non-finite value
+        # is walked, to spell those values as strings
+        if x.dtype.kind in "biuf" and np.isfinite(x).all():
+            return x.tolist()
         return _jsonify(x.tolist())
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
@@ -141,8 +152,14 @@ def _csv_text(header, rows) -> str:
 
 
 def _round_array(a: np.ndarray) -> np.ndarray:
-    out = np.array([[sig12(v) for v in row] for row in np.atleast_2d(a)])
-    return out.reshape(np.asarray(a).shape)
+    # sig12 leaves zeros (and their sign) as they are, so only the support
+    # is rounded: the cost follows the nonzero count, not the array size.
+    # A C-ordered copy makes reshape(-1) a view, so writes reach `out`.
+    out = np.array(a, dtype=float, order="C")
+    flat = out.reshape(-1)
+    nz = np.flatnonzero(flat)
+    flat[nz] = [sig12(v) for v in flat[nz].tolist()]
+    return out
 
 
 def _rounded_solution(sol: BridgeSolution) -> BridgeSolution:
@@ -182,12 +199,19 @@ def _flow_doc(g: DirectedGraph, sol: BridgeSolution, T: float, bits: bool,
     rounded = _rounded_solution(sol)
     L = average_path_length(rounded, g)
     S = entropy(rounded)
+    # the bridge puts no mass off the graph's edges, so one entry per edge
+    # and step records each transition matrix in full
+    edges = np.array([(u, v) for u, v, _ in g.edges], dtype=int).reshape(-1, 2)
+    src, dst = (edges - 1).T
     doc = {
+        "format": 2,
         "n": g.n,
         "horizon": sol.N,
         "temperature": sig12(T),
         "marginal_flow": rounded.marginals,
-        "transitions": list(rounded.transitions),
+        "edges": edges,
+        "transitions": np.array([P[src, dst] for P in rounded.transitions])
+                         .reshape(sol.N, len(edges)),
         "average_length": L,
         "entropy": S,
         "free_energy": L - T * S,

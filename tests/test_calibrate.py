@@ -7,6 +7,7 @@ import pytest
 
 from netbridge import (
     CalibrationResult,
+    ConvergenceError,
     DirectedGraph,
     InfeasibleBudgetError,
     InfeasibleError,
@@ -24,6 +25,7 @@ from netbridge import (
     solve_schrodinger,
     temperature_sweep,
 )
+from conftest import random_graph
 
 
 def curve_g9(T):
@@ -87,6 +89,22 @@ class TestCalibration:
         # every admissible 3-step route has length 3; no interior solution
         with pytest.raises(InfeasibleError):
             calibrate_temperature(g9, delta(9, 1), delta(9, 9), 3, 3.0)
+
+    def test_failed_probe_is_not_read_as_above_budget(self):
+        # T=1e-2 underflows on this instance, but L(0.1) ~ 12.401 and
+        # L(1) ~ 13.122 evaluate: the budget lies inside the bracket
+        g = random_graph(np.random.default_rng(4), 40, 0.08)
+        res = calibrate_temperature(g, delta(40, 1), delta(40, 2), 8, 13.5)
+        assert res.bounds == pytest.approx((12.382, 16.00255))
+        assert not res.at_bound
+        assert abs(expected_length_at(g, delta(40, 1), delta(40, 2), 8,
+                                      res.temperature) - 13.5) <= 1e-8
+
+    def test_budget_below_lowest_evaluable_temperature_raises(self):
+        # L at the lowest temperature that evaluates (about 0.016) is ~12.384
+        g = random_graph(np.random.default_rng(4), 40, 0.08)
+        with pytest.raises(ConvergenceError, match="lowest at which"):
+            calibrate_temperature(g, delta(40, 1), delta(40, 2), 8, 12.383)
 
     def test_invalid_budget(self, g9):
         with pytest.raises(ValueError):

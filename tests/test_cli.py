@@ -3,13 +3,18 @@
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from netbridge import BridgeSolution, PathMeasure, average_path_length, \
-    dump_graph, entropy, g9_network
-from netbridge.cli import main
+    boltzmann_prior, count_feasible_paths, delta_marginal, dump_graph, entropy, \
+    g9_network, solve_schrodinger
+from netbridge._numeric import sig12
+from netbridge.cli import _emit_json, _round_array, _rounded_solution, main
 from conftest import random_graph
 
 
@@ -17,6 +22,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def dense_transitions(doc):
+    """Rebuild the N dense n x n transition matrices of a format-2 document."""
+    n = doc["n"]
+    u, v = (np.array(doc["edges"], dtype=int).reshape(-1, 2) - 1).T
+    out = []
+    for row in doc["transitions"]:
+        P = np.zeros((n, n))
+        P[u, v] = row
+        out.append(P)
+    return tuple(out)
 
 
 def parse_measure(doc):
@@ -46,13 +63,16 @@ class TestSolve:
     def test_round_trip_consistency(self, capsys, g9):
         _, out, _ = run(capsys, *SOLVE_G9)
         doc = json.loads(out)
+        assert doc["format"] == 2
+        assert doc["edges"] == [[u, v] for u, v, _ in g9.edges]
         # enumeration route: recompute L, S from the emitted path masses
         m = parse_measure(doc)
         assert abs(average_path_length(m, g9) - doc["average_length"]) <= 1e-12
         assert abs(entropy(m) - doc["entropy"]) <= 1e-12
-        # chain route: recompute from the emitted flow and transitions
+        # chain route: recompute from the emitted flow and the per-edge
+        # transitions, rebuilt as dense matrices
         flow = np.array(doc["marginal_flow"])
-        Pis = tuple(np.array(P) for P in doc["transitions"])
+        Pis = dense_transitions(doc)
         sol = BridgeSolution(phi=np.ones_like(flow), phi_hat=np.ones_like(flow),
                              transitions=Pis, marginals=flow,
                              iterations=1, residual=0.0)
@@ -60,6 +80,52 @@ class TestSolve:
         assert abs(entropy(sol) - doc["entropy"]) <= 1e-12
         F = doc["average_length"] - doc["temperature"] * doc["entropy"]
         assert abs(F - doc["free_energy"]) <= 1e-12
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(1, 4),
+           st.floats(-0.5, 0.5), st.data())
+    def test_edge_list_densifies_to_rounded_solution(self, seed, n, N, log_T, data):
+        g = random_graph(np.random.default_rng(seed), n)
+        T = float(10.0 ** log_T)
+        s = data.draw(st.integers(1, n))
+        t = data.draw(st.integers(1, n))
+        assume(count_feasible_paths(g, N, source=s, target=t) > 0)
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, out = Path(tmp) / "g.json", Path(tmp) / "doc.json"
+            graph.write_text(dump_graph(g))
+            assert main(["solve", "--graph", str(graph), "--from-delta", str(s),
+                         "--to-delta", str(t), "-N", str(N), "-T", repr(T),
+                         "--output", str(out)]) == 0
+            doc = json.loads(out.read_text())
+        sol = solve_schrodinger(boltzmann_prior(g, T, N), delta_marginal(n, s),
+                                delta_marginal(n, t))
+        want = _rounded_solution(sol).transitions
+        assert len(doc["transitions"]) == N
+        assert all(len(row) == len(g.edges) for row in doc["transitions"])
+        got = dense_transitions(doc)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_non_finite_array_entries_spelled_as_strings(self, tmp_path):
+        path = tmp_path / "doc.json"
+        _emit_json({"flow": np.array([[0.5, np.nan], [np.inf, -np.inf]]),
+                    "ok": np.array([0.25, -0.0])}, str(path))
+        doc = json.loads(path.read_text())
+        assert doc["flow"] == [[0.5, "nan"], ["inf", "-inf"]]
+        assert doc["ok"] == [0.25, -0.0]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_round_array_matches_per_entry_sig12_bitwise(self, order):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((4, 5)) * 10.0 ** rng.integers(-20, 20, (4, 5))
+        a[0, :4] = [0.0, -0.0, np.inf, -np.inf]
+        a[1, 0] = np.nan
+        a[2, 1] = 1 / 3
+        a = np.asarray(a, order=order)
+        want = np.vectorize(sig12, otypes=[float])(a)
+        got = _round_array(a)
+        assert got.shape == a.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.array_equal(got.view(np.uint64), a.view(np.uint64))
 
     def test_reruns_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from netbridge import (
     ConvergenceError,
@@ -20,6 +21,7 @@ from netbridge import (
     perron,
     ruelle_bowen_chain,
 )
+from netbridge.prior import _primitivity_witness
 from conftest import random_graph
 
 FIBONACCI = np.array([[1.0, 1.0], [1.0, 0.0]])
@@ -175,6 +177,29 @@ class TestPerron:
         # wrap to zero in 8-bit walk counts
         res = perron(np.ones((257, 257)) - np.eye(257), require_primitive=True)
         assert res.primitive
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+        .map(lambda bits: np.array(bits, dtype=float).reshape(n, n))))
+    @example(np.roll(np.eye(3), 1, axis=1))  # 3-cycle: period 3
+    @example(np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0.0]]))
+    @example(np.zeros((1, 1)))
+    def test_primitivity_matches_wielandt_powers(self, B):
+        n = B.shape[0]
+        bound = n * n - 2 * n + 2
+        powers = [B > 0]
+        for _ in range(bound - 1):
+            powers.append((powers[-1].astype(float) @ B) > 0)
+        primitive, witness = _primitivity_witness(B)
+        assert primitive == any(P.all() for P in powers)
+        if not primitive:
+            i, j, k = witness
+            assert k >= bound
+            P = np.eye(n)
+            for _ in range(k):
+                P = (P @ B > 0).astype(float)
+            assert P[i - 1, j - 1] == 0.0
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ConvergenceError):
