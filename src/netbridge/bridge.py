@@ -7,10 +7,12 @@ potential propagation with boundary corrections (iterative proportional
 fitting); convergence is monitored in the Hilbert projective metric, which
 is the natural scale-invariant contraction metric for this iteration.
 
-Everything here works on the prior's stored (max-normalized) matrices: the
-transition matrices and time marginals of the bridge are invariant under
-per-step rescaling of the prior, so the scale factors never need to be
-reapplied.
+Everything here works on the prior's stored (max-normalized) edge
+weights: the transition probabilities and time marginals of the bridge are
+invariant under per-step rescaling of the prior, so the scale factors never
+need to be reapplied.  Potentials are propagated along the edge list with
+np.bincount, and the solved transitions are an (N, E) array on the prior's
+edges, so memory and work per sweep grow with N * E, not N * n^2.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from ._numeric import hilbert_distance
 from .errors import ConvergenceError, InfeasibleError
-from .graph import PATH_CAP, DirectedGraph, Path, enumerate_feasible_paths, \
-    require_routes, step_paths, step_reach
+from .graph import PATH_CAP, DirectedGraph, EdgeIndex, Path, \
+    enumerate_feasible_paths, require_routes, step_paths, step_reach
 from .prior import PriorChain, chain_path_mass
 
 
@@ -43,24 +45,27 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BridgeSolution:
-    """Solved bridge: potentials, transition matrices and time marginals.
+    """Solved bridge: potentials, per-edge transitions and time marginals.
 
     phi and phi_hat are (N+1) x n with phi[t] * phi_hat[t] = marginals[t];
-    transitions[t] is row-stochastic on rows carrying marginal mass and zero
-    elsewhere; marginals[0] equals nu0 exactly and marginals[N] matches nuN
-    within `residual`.
+    transitions[t, e] is the probability of stepping along edge e of
+    `edges` at step t.  Summed over a node's out-edges it is 1 on nodes
+    carrying marginal mass, and it is zero on nodes with zero potential;
+    marginals[0] equals nu0 exactly and marginals[N] matches nuN within
+    `residual`.
     """
 
+    edges: EdgeIndex
     phi: np.ndarray
     phi_hat: np.ndarray
-    transitions: tuple[np.ndarray, ...]
+    transitions: np.ndarray
     marginals: np.ndarray
     iterations: int
     residual: float
 
     @property
     def N(self) -> int:
-        return len(self.transitions)
+        return self.transitions.shape[0]
 
     @property
     def n(self) -> int:
@@ -92,8 +97,10 @@ def delta_marginal(n: int, node: int) -> np.ndarray:
 def _check_feasible(prior: PriorChain, supp0: np.ndarray, suppN: np.ndarray) -> None:
     # A route between supported endpoints needs positive weight at every
     # step, whatever the product of those weights; decide on support alone.
-    ends = np.eye(prior.n, dtype=bool)[:, suppN]
-    reach = step_reach(prior.supports, ends)[0]
+    targets = np.flatnonzero(suppN)
+    ends = np.zeros((prior.n, targets.size), dtype=bool)
+    ends[targets, np.arange(targets.size)] = True
+    reach = step_reach(prior.edges, prior.support, ends)[0]
     require_routes(reach[supp0], supp0, suppN, prior.N)
 
 
@@ -132,7 +139,8 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
             raise InfeasibleError("N=0 requires identical endpoint marginals")
         phi = np.ones((1, n))
         return BridgeSolution(
-            phi=phi, phi_hat=nu0[None, :].copy(), transitions=(),
+            edges=prior.edges, phi=phi, phi_hat=nu0[None, :].copy(),
+            transitions=np.zeros((0, prior.edges.E)),
             marginals=nu0[None, :].copy(), iterations=0,
             residual=float(np.abs(nu0 - nuN).max()),
         )
@@ -141,7 +149,8 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
     suppN = nuN > 0.0
     _check_feasible(prior, supp0, suppN)
 
-    mats = prior.matrices
+    W = prior.weights
+    src, dst = prior.edges.src, prior.edges.dst
     phi = np.zeros((N + 1, n))
     phi_hat = np.zeros((N + 1, n))
     phi_N = np.ones(n)
@@ -151,7 +160,7 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
         iterations += 1
         phi[N] = phi_N
         for t in range(N - 1, -1, -1):
-            phi[t] = mats[t] @ phi[t + 1]
+            phi[t] = np.bincount(src, W[t] * phi[t + 1][dst], minlength=n)
         # an underflowed potential shows as an infinite (or NaN) reciprocal
         with np.errstate(divide="ignore", over="ignore"):
             phi_hat[0] = np.where(supp0, nu0 / np.where(supp0, phi[0], 1.0), 0.0)
@@ -162,7 +171,7 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
                 iterations=iterations,
             )
         for t in range(N):
-            phi_hat[t + 1] = mats[t].T @ phi_hat[t]
+            phi_hat[t + 1] = np.bincount(dst, W[t] * phi_hat[t][src], minlength=n)
         with np.errstate(divide="ignore", over="ignore"):
             phi_N_new = np.where(suppN, nuN / np.where(suppN, phi_hat[N], 1.0), 0.0)
         if not np.all(np.isfinite(phi_N_new)):
@@ -182,16 +191,14 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
             )
         phi_N = phi_N_new / phi_N_new.max()
 
-    transitions = []
-    for t in range(N):
-        rows = phi[t] > 0.0
-        P = np.zeros((n, n))
-        P[rows] = mats[t][rows] * phi[t + 1][None, :] / phi[t][rows, None]
-        transitions.append(P)
+    # Pi_t(i, j) = W_t(i, j) phi_{t+1}(j) / phi_t(i) on rows with phi_t(i) > 0
+    phi_src = phi[:-1][:, src]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        transitions = np.where(phi_src > 0.0, W * phi[1:][:, dst] / phi_src, 0.0)
     marginals = phi * phi_hat
     residual = float(np.abs(marginals[N] - nuN).max())
     return BridgeSolution(
-        phi=phi, phi_hat=phi_hat, transitions=tuple(transitions),
+        edges=prior.edges, phi=phi, phi_hat=phi_hat, transitions=transitions,
         marginals=marginals, iterations=iterations, residual=residual,
     )
 
@@ -210,11 +217,12 @@ def path_probability(sol: BridgeSolution, p: Sequence[int]) -> float:
     for x in p:
         if not (1 <= x <= n):
             raise ValueError(f"node {x} out of range 1..{n}")
+    ids = sol.edges.find(np.array(p[:-1]) - 1, np.array(p[1:]) - 1)
     prob = float(sol.marginals[0][p[0] - 1])
-    for t, (a, b) in enumerate(zip(p[:-1], p[1:])):
+    for t, e in enumerate(ids.tolist()):
         if prob == 0.0:
             return 0.0
-        prob *= float(sol.transitions[t][a - 1, b - 1])
+        prob *= float(sol.transitions[t, e]) if e >= 0 else 0.0
     return prob
 
 
@@ -225,7 +233,7 @@ def support_paths(prior: PriorChain, source: int | None = None,
     Like graph enumeration, but against the (possibly time-dependent)
     support of a prior chain; mu0 is ignored.
     """
-    return step_paths(prior.n, prior.supports, source, target, cap)
+    return step_paths(prior.edges, prior.support, source, target, cap)
 
 
 def most_probable_paths(g: DirectedGraph, measure, source: int, target: int,
@@ -258,7 +266,7 @@ def most_probable_paths(g: DirectedGraph, measure, source: int, target: int,
 
 def iterated_bridge_check(prior: PriorChain, first, second,
                           config: SolverConfig | None = None) -> float:
-    """Max transition-matrix deviation between bridging over the prior directly
+    """Max transition deviation between bridging over the prior directly
     and bridging over an intermediate bridge.
 
     `first` and `second` are (nu0, nuN) pairs.  The bridge of `second` over
@@ -268,13 +276,10 @@ def iterated_bridge_check(prior: PriorChain, first, second,
     nu0_1, nuN_1 = first
     nu0_2, nuN_2 = second
     sol_first = solve_schrodinger(prior, nu0_1, nuN_1, config)
-    inner = PriorChain(matrices=sol_first.transitions, mu0=sol_first.marginals[0])
+    inner = PriorChain(prior.edges, sol_first.transitions, sol_first.marginals[0])
     direct = solve_schrodinger(prior, nu0_2, nuN_2, config)
     nested = solve_schrodinger(inner, nu0_2, nuN_2, config)
-    dev = 0.0
-    for A, B in zip(direct.transitions, nested.transitions):
-        dev = max(dev, float(np.abs(A - B).max()))
-    return dev
+    return float(np.abs(direct.transitions - nested.transitions).max(initial=0.0))
 
 
 def restriction_ratio_check(prior: PriorChain, sol: BridgeSolution,

@@ -92,19 +92,22 @@ def expected_length_at(g: DirectedGraph, nu0, nuN, N: int, T: float,
 def length_variance(sol: BridgeSolution, g: DirectedGraph) -> float:
     """Variance of the total path length under a solved bridge, by an exact
     forward second-moment recursion over the chain."""
-    # per-node accumulators: occupation w, E[L; X_t=i] a, E[L^2; X_t=i] b
-    L = g.length_matrix
+    # per-node accumulators: occupation w, E[L; X_t=i] a, E[L^2; X_t=i] b,
+    # pushed along the edges src -> dst at every step
+    lengths = g.lengths_on(sol.edges)
+    src, dst = sol.edges.src, sol.edges.dst
+    n = sol.n
     w = sol.marginals[0].copy()
-    a = np.zeros(sol.n)
-    b = np.zeros(sol.n)
+    a = np.zeros(n)
+    b = np.zeros(n)
     for t in range(sol.N):
         P = sol.transitions[t]
-        step = np.where(P > 0.0, np.where(np.isfinite(L), L, 0.0), 0.0)
-        w_next = w @ P
-        a_next = a @ P + (w[:, None] * P * step).sum(axis=0)
-        b_next = (b @ P + 2.0 * (a[:, None] * P * step).sum(axis=0)
-                  + (w[:, None] * P * step * step).sum(axis=0))
-        w, a, b = w_next, a_next, b_next
+        step = np.where((P > 0.0) & np.isfinite(lengths), lengths, 0.0)
+        fw, fa = w[src] * P, a[src] * P
+        w, a, b = (np.bincount(dst, fw, minlength=n),
+                   np.bincount(dst, fa + fw * step, minlength=n),
+                   np.bincount(dst, b[src] * P + 2.0 * fa * step + fw * step * step,
+                               minlength=n))
     total = w.sum()
     if total <= 0.0:
         return 0.0

@@ -10,11 +10,11 @@ configuration produce byte-identical output.  JSON has no literals for
 non-finite numbers; they are emitted as the strings "inf", "-inf", "nan".
 
 The `solve` flow document ("format": 2) writes its transitions per graph
-edge: "edges" lists the [u, v] pairs in the graph's edge order and
-"transitions" holds N lists of E numbers, entry e of step t being
-Pi_t[u_e, v_e] (zeros on rows that carry no mass).  The bridge has no mass
-off the graph's edges, so placing each entry into an n x n zero matrix
-rebuilds Pi_t exactly.
+edge, exactly as the solver stores them: "edges" lists the [u, v] pairs in
+the graph's edge order and "transitions" holds N lists of E numbers, entry
+e of step t being Pi_t[u_e, v_e] (zeros on rows that carry no mass).  The
+bridge has no mass off the graph's edges, so placing each entry into an
+n x n zero matrix rebuilds Pi_t exactly.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .calibrate import TemperatureLimit, calibrate_temperature, length_variance,
     temperature_sweep
 from .errors import ConvergenceError, EnumerationCapError, GraphFormatError, \
     InfeasibleBudgetError, InfeasibleError
-from .graph import DirectedGraph, count_feasible_paths, enumerate_feasible_paths, \
-    g9_network, load_graph, path_length, step_reach
+from .graph import DirectedGraph, enumerate_feasible_paths, g9_network, load_graph, \
+    path_counts, path_length, step_reach
 from .metrics import PathMeasure, average_path_length, entropy, \
     graph_efficiency_stats, total_variation
 from .oracle import conditioned_boltzmann, measure_from_bridge, oracle_bridge
@@ -164,15 +164,17 @@ def _round_array(a: np.ndarray) -> np.ndarray:
 
 def _rounded_solution(sol: BridgeSolution) -> BridgeSolution:
     # Round the transitions and the source row once, then re-propagate the
-    # flow through the rounded chain.  The emitted arrays therefore satisfy
-    # flow[t+1] = flow[t] @ Pi(t) exactly, and path masses computed from
-    # them agree with the chain-form averages to reassociation error.
-    transitions = tuple(_round_array(P) for P in sol.transitions)
-    flow = [_round_array(sol.marginals[0]).reshape(-1)]
+    # flow through the rounded chain.  Each emitted flow row is therefore
+    # the previous one pushed along the emitted transitions, and path masses
+    # computed from them agree with the chain-form averages to reassociation
+    # error.
+    transitions = _round_array(sol.transitions)
+    src, dst = sol.edges.src, sol.edges.dst
+    flow = [_round_array(sol.marginals[0])]
     for P in transitions:
-        flow.append(flow[-1] @ P)
+        flow.append(np.bincount(dst, flow[-1][src] * P, minlength=sol.n))
     return BridgeSolution(
-        phi=sol.phi, phi_hat=sol.phi_hat,
+        edges=sol.edges, phi=sol.phi, phi_hat=sol.phi_hat,
         transitions=transitions,
         marginals=np.array(flow),
         iterations=sol.iterations, residual=sol.residual,
@@ -199,19 +201,14 @@ def _flow_doc(g: DirectedGraph, sol: BridgeSolution, T: float, bits: bool,
     rounded = _rounded_solution(sol)
     L = average_path_length(rounded, g)
     S = entropy(rounded)
-    # the bridge puts no mass off the graph's edges, so one entry per edge
-    # and step records each transition matrix in full
-    edges = np.array([(u, v) for u, v, _ in g.edges], dtype=int).reshape(-1, 2)
-    src, dst = (edges - 1).T
     doc = {
         "format": 2,
         "n": g.n,
         "horizon": sol.N,
         "temperature": sig12(T),
         "marginal_flow": rounded.marginals,
-        "edges": edges,
-        "transitions": np.array([P[src, dst] for P in rounded.transitions])
-                         .reshape(sol.N, len(edges)),
+        "edges": np.column_stack((sol.edges.src, sol.edges.dst)) + 1,
+        "transitions": rounded.transitions,
         "average_length": L,
         "entropy": S,
         "free_energy": L - T * S,
@@ -222,8 +219,9 @@ def _flow_doc(g: DirectedGraph, sol: BridgeSolution, T: float, bits: bool,
         doc["entropy_bits"] = S / LN2
     sources = [int(i) + 1 for i in np.flatnonzero(sol.marginals[0] > 0)]
     targets = [int(j) + 1 for j in np.flatnonzero(sol.marginals[sol.N] > 0)]
-    n_paths = sum(count_feasible_paths(g, sol.N, source=s, target=j)
-                  for s in sources for j in targets)
+    # one counting pass per target gives the counts from every source
+    n_paths = sum(int(path_counts(g, sol.N, target=j)[np.array(sources) - 1].sum())
+                  for j in targets)
     doc["path_count"] = n_paths
     if n_paths <= path_cap:
         masses = {}
@@ -535,11 +533,11 @@ def _verify_checks(args, g, nu0, nuN, cfg):
         return checks, {"degenerate": True}
     sol = solve_schrodinger(prior, nu0, nuN, cfg)
     if args.inject_error:
-        bad = [P.copy() for P in sol.transitions]
+        bad = sol.transitions.copy()
         i = int(np.argmax(sol.marginals[0] > 0))
-        bad[0][i] = np.roll(bad[0][i], 1)  # break row structure deliberately
-        sol = BridgeSolution(phi=sol.phi, phi_hat=sol.phi_hat,
-                             transitions=tuple(bad), marginals=sol.marginals,
+        bad[0, sol.edges.out_edges(i)] *= 0.5  # break row structure deliberately
+        sol = BridgeSolution(edges=sol.edges, phi=sol.phi, phi_hat=sol.phi_hat,
+                             transitions=bad, marginals=sol.marginals,
                              iterations=sol.iterations, residual=sol.residual)
 
     checks.append(("solver-marginals",
@@ -558,7 +556,8 @@ def _verify_checks(args, g, nu0, nuN, cfg):
     rng = np.random.default_rng(args.seed)
     target = int(np.argmax(nuN)) + 1
     kernel_ok = np.flatnonzero(
-        step_reach((g.adjacency,) * N, np.arange(1, g.n + 1) == target)[0])
+        step_reach(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
+                   np.arange(1, g.n + 1) == target)[0])
     dev = 0.0
     if kernel_ok.size > 0 and args.pairs > 0:
         for _ in range(args.pairs):

@@ -1,15 +1,17 @@
 """Directed graphs with edge lengths: loading, path enumeration, distances.
 
-Nodes are numbered 1..n in documents and in path tuples; matrix
-representations are 0-indexed internally.  An absent edge has infinite
-length, which is always computed on demand and never stored.
+Nodes are numbered 1..n in documents and in path tuples; index arrays are
+0-based internally.  Per-step quantities (prior weights, transition
+probabilities, supports) are (N, E) arrays over an EdgeIndex, one column
+per edge.  An absent edge has infinite length, which is always computed on
+demand and never stored.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -20,6 +22,59 @@ from .errors import EnumerationCapError, GraphFormatError, InfeasibleError
 PATH_CAP = 1_000_000
 
 Path = tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeIndex:
+    """Directed edges src[e] -> dst[e] over nodes 0..n-1, in a fixed order.
+
+    Edge e is column e of every (N, E) per-step array built on this index.
+    Pairs are looked up by the sorted key src * n + dst; the same sort lists
+    each node's out-edges by ascending target.
+    """
+
+    n: int
+    src: np.ndarray
+    dst: np.ndarray
+    order: np.ndarray = field(init=False, repr=False)   # edge ids by (src, dst)
+    keys: np.ndarray = field(init=False, repr=False)    # src * n + dst, sorted
+    starts: np.ndarray = field(init=False, repr=False)  # v's out-edges start at order[starts[v]]
+
+    def __post_init__(self):
+        src = np.asarray(self.src, dtype=np.intp)
+        dst = np.asarray(self.dst, dtype=np.intp)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ValueError(f"src and dst must be equal-length vectors, got "
+                             f"{src.shape} and {dst.shape}")
+        if src.size and (min(src.min(), dst.min()) < 0
+                         or max(src.max(), dst.max()) >= self.n):
+            raise ValueError(f"edge endpoints must lie in 0..{self.n - 1}")
+        key = src * self.n + dst
+        order = np.argsort(key, kind="stable")
+        keys = key[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate edge in edge index")
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "starts", np.searchsorted(src[order], np.arange(self.n + 1)))
+
+    @property
+    def E(self) -> int:
+        return self.src.size
+
+    def find(self, u, v) -> np.ndarray:
+        """Edge ids of the 0-based pairs (u[k], v[k]); -1 where there is no edge."""
+        key = np.asarray(u, dtype=np.intp) * self.n + np.asarray(v, dtype=np.intp)
+        if self.E == 0:
+            return np.full(key.shape, -1)
+        pos = np.minimum(np.searchsorted(self.keys, key), self.E - 1)
+        return np.where(self.keys[pos] == key, self.order[pos], -1)
+
+    def out_edges(self, v: int) -> np.ndarray:
+        """Ids of the edges leaving node v (0-based), by ascending target."""
+        return self.order[self.starts[v]:self.starts[v + 1]]
 
 
 @dataclass(frozen=True)
@@ -55,6 +110,25 @@ class DirectedGraph:
             seen.add((u, v))
             norm.append((u, v, length))
         object.__setattr__(self, "edges", tuple(norm))
+
+    @cached_property
+    def edge_index(self) -> EdgeIndex:
+        """The edges as 0-based index arrays, in document order."""
+        src = np.array([u - 1 for u, _, _ in self.edges], dtype=np.intp)
+        dst = np.array([v - 1 for _, v, _ in self.edges], dtype=np.intp)
+        return EdgeIndex(self.n, src, dst)
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Edge lengths in document order (column e of edge_index)."""
+        return np.array([w for _, _, w in self.edges], dtype=float)
+
+    def lengths_on(self, edges: EdgeIndex) -> np.ndarray:
+        """Length of each edge of `edges` in this graph; +inf where it has no such edge."""
+        if edges.n != self.n:
+            raise ValueError(f"edge index is over {edges.n} nodes, graph has {self.n}")
+        ids = self.edge_index.find(edges.src, edges.dst)
+        return np.where(ids >= 0, self.lengths[ids], np.inf)
 
     @cached_property
     def length_matrix(self) -> np.ndarray:
@@ -156,21 +230,29 @@ def path_length(g: DirectedGraph, p: Sequence[int]) -> float:
     return total
 
 
-def step_reach(supports: Sequence[np.ndarray], ends: np.ndarray) -> list[np.ndarray]:
-    """Which nodes reach the end set along per-step supports.
+def step_reach(edges: EdgeIndex, supports, ends: np.ndarray) -> list[np.ndarray]:
+    """Which nodes reach the end set along per-step edge supports.
 
-    `supports[t]` is the boolean n x n support of step t; `ends` is a
+    `supports[t]` is the boolean support of step t over the E edges of
+    `edges` (an (N, E) array or a sequence of E-vectors); `ends` is a
     boolean vector over nodes, or an n x k matrix holding k end sets as
     columns.  Returns ok with ok[t][v-1] true when some walk from v along
     steps t..N-1 ends in the end set; ok[N] is `ends` itself.  Only
     support is used, never weights, so no magnitude can underflow.
     """
-    ok = [np.asarray(ends, dtype=bool)]
+    ends = np.asarray(ends, dtype=bool)
+    ok = [ends if ends.ndim == 2 else ends[:, None]]
+    heads = edges.starts[:-1]
+    has_out = heads < edges.starts[1:]
     for S in reversed(supports):
-        # 0/1 products count walks, at most n per entry: exact in float64
-        ok.append(S.astype(float) @ ok[-1].astype(float) > 0.0)
+        live = (np.asarray(S, dtype=bool)[:, None] & ok[-1][edges.dst])[edges.order]
+        reach = np.zeros_like(ok[-1])
+        if has_out.any():
+            # out-edges of a node are contiguous in `order`
+            reach[has_out] = np.logical_or.reduceat(live, heads[has_out], axis=0)
+        ok.append(reach)
     ok.reverse()
-    return ok
+    return [x.reshape(ends.shape) for x in ok]
 
 
 def require_routes(block: np.ndarray, supp0: np.ndarray, suppN: np.ndarray,
@@ -190,22 +272,23 @@ def require_routes(block: np.ndarray, supp0: np.ndarray, suppN: np.ndarray,
     )
 
 
-def step_paths(n: int, supports: Sequence[np.ndarray], source: int | None = None,
+def step_paths(edges: EdgeIndex, supports, source: int | None = None,
                target: int | None = None, cap: int = PATH_CAP) -> list[Path]:
-    """All paths x_0..x_N with supports[t][x_t - 1, x_(t+1) - 1] true at every step.
+    """All paths x_0..x_N whose step t runs along an edge in supports[t].
 
-    N is len(supports).  Paths are optionally pinned at one or both
-    endpoints and come back in lexicographic node order.  The depth-first
-    walk enters only successors that step_reach says can still finish, so
-    no branch dies.  Exceeding `cap` paths raises EnumerationCapError
-    rather than truncating.
+    N is len(supports); `supports` is as for step_reach.  Paths are
+    optionally pinned at one or both endpoints and come back in
+    lexicographic node order.  The depth-first walk enters only successors
+    that step_reach says can still finish, so no branch dies.  Exceeding
+    `cap` paths raises EnumerationCapError rather than truncating.
     """
+    n = edges.n
     for name, x in (("source", source), ("target", target)):
         if x is not None and not (1 <= x <= n):
             raise ValueError(f"{name} node {x} out of range 1..{n}")
     N = len(supports)
     ends = np.ones(n, dtype=bool) if target is None else np.arange(1, n + 1) == target
-    ok = step_reach(supports, ends)
+    ok = step_reach(edges, supports, ends)
     live: dict[tuple[int, int], list[int]] = {}  # (t, v) -> successors that finish
     out: list[Path] = []
     stack: list[int] = []
@@ -221,7 +304,9 @@ def step_paths(n: int, supports: Sequence[np.ndarray], source: int | None = None
         else:
             nexts = live.get((t, v))
             if nexts is None:
-                nexts = (np.flatnonzero(supports[t][v - 1] & ok[t + 1]) + 1).tolist()
+                e = edges.out_edges(v - 1)
+                w = edges.dst[e]
+                nexts = (w[np.asarray(supports[t], dtype=bool)[e] & ok[t + 1][w]] + 1).tolist()
                 live[(t, v)] = nexts
             for w in nexts:
                 visit(w, t + 1)
@@ -247,24 +332,38 @@ def enumerate_feasible_paths(
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    return step_paths(g.n, (g.adjacency,) * N, source, target, cap)
+    return step_paths(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
+                      source, target, cap)
+
+
+def path_counts(g: DirectedGraph, N: int, target: int | None = None) -> np.ndarray:
+    """Number of N-step paths from every node (into `target` if given).
+
+    Counted by a backward recursion over the edge list in Python ints (an
+    object array), so counts stay exact past 2**64.
+    """
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    if target is None:
+        counts = np.ones(g.n, dtype=object)
+    else:
+        if not (1 <= target <= g.n):
+            raise ValueError(f"target node {target} out of range 1..{g.n}")
+        counts = np.zeros(g.n, dtype=object)
+        counts[target - 1] = 1
+    edges = g.edge_index
+    for _ in range(N):
+        nxt = np.zeros(g.n, dtype=object)
+        np.add.at(nxt, edges.src, counts[edges.dst])
+        counts = nxt
+    return counts
 
 
 def count_feasible_paths(g: DirectedGraph, N: int, source: int | None = None,
                          target: int | None = None) -> int:
     """Number of N-step feasible paths, computed by counting DP (no enumeration)."""
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    A = g.adjacency.astype(object)  # exact integer counts, no overflow
-    vec = np.ones(g.n, dtype=object)
-    if target is not None:
-        vec = np.zeros(g.n, dtype=object)
-        vec[target - 1] = 1
-    for _ in range(N):
-        vec = A @ vec
-    if source is not None:
-        return int(vec[source - 1])
-    return int(vec.sum())
+    counts = path_counts(g, N, target)
+    return int(counts[source - 1] if source is not None else counts.sum())
 
 
 def shortest_path_matrix(g: DirectedGraph) -> np.ndarray:

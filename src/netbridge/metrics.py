@@ -77,18 +77,15 @@ def average_path_length(measure, g: DirectedGraph) -> float:
     """Expected total path length; +inf if positive mass sits on an infeasible path.
 
     For a BridgeSolution this is the chain form
-    sum_t sum_ij marginal_t(i) * Pi_t(i,j) * l_ij.
+    sum_t sum_e marginal_t(src_e) * Pi_t(e) * l_e over the solution's edges.
     """
     if isinstance(measure, BridgeSolution):
-        L = g.length_matrix
-        total = 0.0
-        for t in range(measure.N):
-            W = measure.marginals[t][:, None] * measure.transitions[t]
-            mask = W > 0.0
-            if np.any(mask & ~np.isfinite(L)):
-                return float("inf")
-            total += float((W[mask] * L[mask]).sum())
-        return total
+        lengths = g.lengths_on(measure.edges)
+        W = measure.marginals[:-1][:, measure.edges.src] * measure.transitions
+        mask = W > 0.0
+        if np.any(mask & ~np.isfinite(lengths)):
+            return float("inf")
+        return float((W[mask] * np.broadcast_to(lengths, W.shape)[mask]).sum())
     if isinstance(measure, PathMeasure):
         total = 0.0
         for p, m in measure.masses.items():
@@ -109,12 +106,11 @@ def entropy(measure) -> float:
     marginal plus the marginal-weighted entropies of the transition rows.
     """
     if isinstance(measure, BridgeSolution):
-        total = _vector_entropy(measure.marginals[0])
-        for t in range(measure.N):
-            mu = measure.marginals[t]
-            for i in np.flatnonzero(mu > 0):
-                total += float(mu[i]) * _vector_entropy(measure.transitions[t][i])
-        return total
+        P = measure.transitions
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.where(P > 0.0, -P * np.log(P), 0.0)
+        mu = measure.marginals[:-1][:, measure.edges.src]
+        return _vector_entropy(measure.marginals[0]) + float((mu * h).sum())
     if isinstance(measure, PathMeasure):
         _check_probability(measure)
         m = np.array([x for x in measure.masses.values() if x > 0.0])

@@ -46,7 +46,7 @@ def endpoint_kernel(prior: PriorChain, cap: int = PATH_CAP) -> EndpointKernel:
     """
     n = prior.n
     by_enum = np.zeros((n, n))
-    for p in step_paths(n, prior.supports, cap=cap):
+    for p in step_paths(prior.edges, prior.support, cap=cap):
         by_enum[p[0] - 1, p[-1] - 1] += np.exp(log_path_weight(prior, p))
     prod = np.eye(n)
     for t in range(prior.N):
@@ -97,7 +97,7 @@ def oracle_bridge(prior: PriorChain, g: DirectedGraph, nu0, nuN,
             residual=max(row_err, col_err), iterations=max_sweeps,
         )
     masses: dict[Path, float] = {}
-    for p in step_paths(n, prior.supports, cap=cap):
+    for p in step_paths(prior.edges, prior.support, cap=cap):
         if a[p[0] - 1] == 0.0 or b[p[-1] - 1] == 0.0:
             continue
         log_m = log_path_weight(prior, p)
@@ -142,7 +142,7 @@ def measure_from_bridge(sol: BridgeSolution, g: DirectedGraph,
 def measure_from_chain(prior: PriorChain, cap: int = PATH_CAP) -> PathMeasure:
     """Expand a prior chain into its explicit (possibly unnormalized) path measure."""
     masses: dict[Path, float] = {}
-    for p in step_paths(prior.n, prior.supports, cap=cap):
+    for p in step_paths(prior.edges, prior.support, cap=cap):
         m = chain_path_mass(prior, p)
         if m > 0.0:
             masses[p] = m
@@ -171,7 +171,8 @@ def verify_equal_length_masses(g: DirectedGraph, T: float, N: int,
     """
     prior = ruelle_bowen_chain(g, T, N)
     cfg = config or SolverConfig()
-    reach = step_reach((g.adjacency,) * N, np.eye(g.n, dtype=bool))[0]
+    reach = step_reach(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
+                       np.eye(g.n, dtype=bool))[0]
     pairs = 0
     max_spread = 0.0
     dominates = True

@@ -1,10 +1,14 @@
 """Reference path measures: Boltzmann chains and the Ruelle-Bowen chain.
 
 A prior is a Markov chain on the graph's nodes given by an initial
-distribution and one transition-weight matrix per step.  Matrices are kept
+distribution and one weight per edge and step, stored as an (N, E) array
+over an EdgeIndex; a time-homogeneous chain stores its one row once and
+broadcasts it over the steps.  Each step's weights are kept
 max-entry-normalized with a separate log scale factor so that very low
 temperatures (entries like exp(-40) and below) stay representable; every
-consumer that needs true masses works in log space.
+consumer that needs true masses works in log space.  Dense n x n matrices
+appear only at the boundary: PriorChain.from_matrices, PriorChain.matrix
+and the power iteration in perron.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from ._numeric import hilbert_distance
 from .errors import ConvergenceError, InfeasibleError, PrimitivityError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, EdgeIndex
 
 PERRON_TOL = 1e-12
 PERRON_MAX_ITER = 100_000
@@ -24,57 +28,82 @@ PERRON_MAX_ITER = 100_000
 
 @dataclass(frozen=True)
 class PriorChain:
-    """Markov reference measure on N-step paths.
+    """Markov reference measure on N-step paths, stored on an edge list.
 
-    True step weights are exp(log_scales[t]) * matrices[t]; the stored
-    matrices carry the shape of the weights, the scales carry the magnitude.
-    mu0 must be nonnegative with positive total mass.  (Strict positivity is
-    the standard assumption but is deliberately not enforced: the invariant
-    measure of the Ruelle-Bowen chain on a graph with an absorbing node is a
-    point mass, and none of the bridge recursions divide by mu0.)
+    weights[t, e] is the stored weight of a step along edge e of `edges` at
+    step t; the true weight is exp(log_scales[t]) * weights[t, e], so the
+    weights carry the shape and the scales the magnitude.  Steps along no
+    edge have weight zero.  mu0 must be nonnegative with positive total
+    mass.  (Strict positivity is the standard assumption but is
+    deliberately not enforced: the invariant measure of the Ruelle-Bowen
+    chain on a graph with an absorbing node is a point mass, and none of
+    the bridge recursions divide by mu0.)
     """
 
-    matrices: tuple[np.ndarray, ...]
+    edges: EdgeIndex
+    weights: np.ndarray
     mu0: np.ndarray
     log_scales: tuple[float, ...] = ()
 
     def __post_init__(self):
-        mats = tuple(np.asarray(M, dtype=float) for M in self.matrices)
-        mu0_arr = np.asarray(self.mu0, dtype=float)
-        n = mats[0].shape[0] if mats else mu0_arr.shape[0]
+        W = np.asarray(self.weights, dtype=float)
+        E = self.edges.E
+        if W.ndim != 2 or W.shape[1] != E:
+            raise ValueError(f"weights must be N x {E}, got shape {W.shape}")
+        if not np.all(np.isfinite(W)) or np.any(W < 0):
+            raise ValueError("weights must be finite and nonnegative")
+        n = self.edges.n
+        mu0 = np.asarray(self.mu0, dtype=float)
+        if mu0.shape != (n,):
+            raise ValueError(f"mu0 must have length {n}, got shape {mu0.shape}")
+        if np.any(mu0 < 0) or not np.all(np.isfinite(mu0)) or mu0.sum() <= 0:
+            raise ValueError("mu0 must be nonnegative with positive total mass")
+        scales = tuple(float(s) for s in self.log_scales) or (0.0,) * W.shape[0]
+        if len(scales) != W.shape[0]:
+            raise ValueError("log_scales must match the number of steps")
+        object.__setattr__(self, "weights", W)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "log_scales", scales)
+
+    @classmethod
+    def from_matrices(cls, matrices: Sequence[np.ndarray], mu0,
+                      log_scales: Sequence[float] = ()) -> "PriorChain":
+        """Chain whose step t has the dense n x n weight matrix matrices[t].
+
+        The edges are the positions positive in some matrix, row-major.
+        """
+        mats = [np.asarray(M, dtype=float) for M in matrices]
+        n = mats[0].shape[0] if mats else np.asarray(mu0).shape[0]
         for t, M in enumerate(mats):
             if M.shape != (n, n):
                 raise ValueError(f"matrices[{t}] must be {n}x{n}, got {M.shape}")
             if not np.all(np.isfinite(M)) or np.any(M < 0):
                 raise ValueError(f"matrices[{t}] must be finite and nonnegative")
-        mu0 = mu0_arr
-        if mu0.shape != (n,):
-            raise ValueError(f"mu0 must have length {n}, got shape {mu0.shape}")
-        if np.any(mu0 < 0) or not np.all(np.isfinite(mu0)) or mu0.sum() <= 0:
-            raise ValueError("mu0 must be nonnegative with positive total mass")
-        scales = tuple(float(s) for s in self.log_scales) or (0.0,) * len(mats)
-        if len(scales) != len(mats):
-            raise ValueError("log_scales must match the number of matrices")
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "log_scales", scales)
+        support = np.zeros((n, n), dtype=bool)
+        for M in mats:
+            support |= M > 0
+        src, dst = np.nonzero(support)
+        weights = np.array([M[src, dst] for M in mats]).reshape(len(mats), src.size)
+        return cls(EdgeIndex(n, src, dst), weights, mu0, tuple(log_scales))
 
     @property
     def N(self) -> int:
-        return len(self.matrices)
+        return self.weights.shape[0]
 
     @property
     def n(self) -> int:
-        return self.matrices[0].shape[0] if self.matrices else self.mu0.shape[0]
-
-    def matrix(self, t: int) -> np.ndarray:
-        """True (unscaled) transition-weight matrix for step t."""
-        return np.exp(self.log_scales[t]) * self.matrices[t]
+        return self.edges.n
 
     @property
-    def supports(self) -> tuple[np.ndarray, ...]:
-        """Boolean support M > 0 of each step matrix."""
-        return tuple(M > 0 for M in self.matrices)
+    def support(self) -> np.ndarray:
+        """(N, E) boolean: the edges with positive weight at each step."""
+        return self.weights > 0
+
+    def matrix(self, t: int) -> np.ndarray:
+        """True (unscaled) dense n x n transition-weight matrix for step t."""
+        M = np.zeros((self.n, self.n))
+        M[self.edges.src, self.edges.dst] = np.exp(self.log_scales[t]) * self.weights[t]
+        return M
 
 
 @dataclass(frozen=True)
@@ -99,17 +128,13 @@ def check_temperature(T: float) -> float:
     return T
 
 
-def _boltzmann_matrix(g: DirectedGraph, T: float) -> tuple[np.ndarray, float]:
-    """Edge weights exp(-l_ij / T), max-entry-normalized; returns (stored, log_scale)."""
-    L = g.length_matrix
-    mask = np.isfinite(L)
-    if not mask.any():
+def _boltzmann_weights(g: DirectedGraph, T: float) -> tuple[np.ndarray, float]:
+    """Edge weights exp(-l_e / T) in edge order, max-entry-normalized;
+    returns (stored, log_scale)."""
+    if not g.edges:
         raise InfeasibleError("graph has no edges")
-    lmin = L[mask].min()
-    log_scale = -lmin / T
-    M = np.zeros_like(L)
-    M[mask] = np.exp(-(L[mask] - lmin) / T)
-    return M, log_scale
+    lmin = g.lengths.min()
+    return np.exp(-(g.lengths - lmin) / T), -lmin / T
 
 
 def boltzmann_prior(g: DirectedGraph, T: float, N: int) -> PriorChain:
@@ -119,16 +144,18 @@ def boltzmann_prior(g: DirectedGraph, T: float, N: int) -> PriorChain:
     is uniform (1/n); the bridge is invariant under positive rescaling of
     mu0, so reported relative entropies against this prior differ from those
     against the probability-normalized Boltzmann measure by ln Z - ln(1/n)
-    only.
+    only.  The weights are one row over the graph's edges, broadcast (not
+    copied) over the N steps.
     """
     check_temperature(T)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     mu0 = np.full(g.n, 1.0 / g.n)
     if N == 0:
-        return PriorChain(matrices=(), mu0=mu0)
-    M, log_scale = _boltzmann_matrix(g, T)
-    return PriorChain(matrices=(M,) * N, mu0=mu0, log_scales=(log_scale,) * N)
+        return PriorChain(g.edge_index, np.zeros((0, len(g.edges))), mu0)
+    w, log_scale = _boltzmann_weights(g, T)
+    return PriorChain(g.edge_index, np.broadcast_to(w, (N, w.size)), mu0,
+                      (log_scale,) * N)
 
 
 def log_path_weight(prior: PriorChain, p: Sequence[int]) -> float:
@@ -145,9 +172,10 @@ def log_path_weight(prior: PriorChain, p: Sequence[int]) -> float:
     for x in p:
         if not (1 <= x <= n):
             raise ValueError(f"node {x} out of range 1..{n}")
+    ids = prior.edges.find(np.array(p[:-1]) - 1, np.array(p[1:]) - 1)
     total = sum(prior.log_scales)
-    for t, (a, b) in enumerate(zip(p[:-1], p[1:])):
-        m = prior.matrices[t][a - 1, b - 1]
+    for t, e in enumerate(ids.tolist()):
+        m = prior.weights[t, e] if e >= 0 else 0.0
         if m == 0.0:
             return float("-inf")
         total += float(np.log(m))
@@ -161,37 +189,27 @@ def chain_path_mass(prior: PriorChain, p: Sequence[int]) -> float:
     return 0.0 if start == 0.0 else float(np.exp(np.log(start) + log_w))
 
 
-def _scaled_product(matrices: Sequence[np.ndarray], log_scales: Sequence[float],
-                    n: int) -> tuple[np.ndarray, float]:
-    """Chain product with running max-normalization; true product = exp(log_c) * P."""
-    P = np.eye(n)
-    log_c = 0.0
-    for M, ls in zip(matrices, log_scales):
-        P = P @ M
-        log_c += ls
-        m = P.max()
-        if m == 0.0:
-            return P, float("-inf")
-        P /= m
-        log_c += np.log(m)
-    return P, log_c
-
-
 def partition_function(g: DirectedGraph, T: float, N: int) -> float:
     """Sum of exp(-l(x)/T) over all feasible N-step paths from every start node.
 
-    Computed from matrix powers of the edge-weight matrix, so tests can check
-    it against direct path enumeration.
+    Computed by a backward recursion over the edge list that renormalizes
+    at every step, so tests can check it against direct path enumeration.
     """
     check_temperature(T)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    M, log_scale = _boltzmann_matrix(g, T)
-    P, log_c = _scaled_product((M,) * N, (log_scale,) * N, g.n)
-    total = P.sum()
-    if total == 0.0:
-        raise InfeasibleError(f"no feasible {N}-step paths")
-    return float(np.exp(log_c + np.log(total)))
+    w, log_scale = _boltzmann_weights(g, T)
+    src, dst = g.edge_index.src, g.edge_index.dst
+    x = np.ones(g.n)
+    log_c = 0.0
+    for _ in range(N):
+        x = np.bincount(src, w * x[dst], minlength=g.n)
+        m = x.max()
+        if m == 0.0:
+            raise InfeasibleError(f"no feasible {N}-step paths")
+        x /= m
+        log_c += log_scale + np.log(m)
+    return float(np.exp(log_c + np.log(x.sum())))
 
 
 def _primitivity_witness(B: np.ndarray) -> tuple[bool, tuple[int, int, int] | None]:
@@ -324,7 +342,7 @@ def ruelle_bowen_chain(g: DirectedGraph, T: float, N: int,
     """Stationary chain assigning equal mass to equal-length paths.
 
     Conjugates the edge-weight matrix B = [exp(-l_ij/T)] by its right Perron
-    vector: R = diag(v)^{-1} B diag(v) / lam, started from the invariant
+    vector: R_ij = B_ij v_j / (lam v_i) on each edge, started from the invariant
     measure mu(i) = u_i v_i.  Under this prior the mass of any path depends
     on its endpoints and total length only.
     """
@@ -334,14 +352,17 @@ def ruelle_bowen_chain(g: DirectedGraph, T: float, N: int,
     for i, succ in enumerate(g.successors):
         if not succ:
             raise InfeasibleError(f"node {i + 1} has no outgoing edges")
-    B, _ = _boltzmann_matrix(g, T)  # scale cancels in the conjugation
+    w, _ = _boltzmann_weights(g, T)  # scale cancels in the conjugation
+    edges = g.edge_index
+    B = np.zeros((g.n, g.n))
+    B[edges.src, edges.dst] = w
     trip = perron(B, tol=tol)
     if np.any(trip.v <= 0):
         i = int(np.argmin(trip.v)) + 1
         raise InfeasibleError(
             f"right Perron vector vanishes at node {i}; no stationary chain exists"
         )
-    R = (B * trip.v[None, :]) / (trip.lam * trip.v[:, None])
+    R = w * trip.v[edges.dst] / (trip.lam * trip.v[edges.src])
     mu = trip.u * trip.v
     mu = mu / mu.sum()
-    return PriorChain(matrices=(R,) * N, mu0=mu)
+    return PriorChain(edges, np.broadcast_to(R, (N, R.size)), mu)

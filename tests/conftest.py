@@ -38,3 +38,11 @@ def random_graph(rng, n, p_edge=0.4, max_len=3.0):
         for j in out:
             edges.append((i, j, float(np.round(rng.uniform(0.1, max_len), 3))))
     return DirectedGraph(n, tuple(edges))
+
+
+def dense_steps(edges, rows):
+    """Dense n x n matrices of per-edge step rows over an EdgeIndex."""
+    out = np.zeros((len(rows), edges.n, edges.n))
+    for P, row in zip(out, rows):
+        P[edges.src, edges.dst] = row
+    return out

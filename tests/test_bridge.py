@@ -1,6 +1,10 @@
 """Bridge solver: marginal pinning, invariances, path probabilities."""
 
+import json
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,20 +18,28 @@ from netbridge import (
     PriorChain,
     SolverConfig,
     as_marginal,
+    average_path_length,
     boltzmann_prior,
     conditioned_boltzmann,
+    count_feasible_paths,
     delta_marginal,
+    dump_graph,
+    entropy,
     enumerate_feasible_paths,
     iterated_bridge_check,
+    length_variance,
     marginal_flow,
+    measure_from_bridge,
     most_probable_paths,
     path_probability,
     restriction_ratio_check,
     solve_schrodinger,
     support_paths,
+    total_variation,
 )
 from netbridge._numeric import hilbert_distance
-from conftest import random_graph
+from netbridge.cli import main
+from conftest import dense_steps, random_graph
 
 
 def delta(n, k):
@@ -68,13 +80,14 @@ class TestSolve:
         sol = solve_schrodinger(boltzmann_prior(g9, 0.7, 4),
                                 delta(9, 1), delta(9, 9))
         flow = marginal_flow(sol)
+        Pis = dense_steps(sol.edges, sol.transitions)
         for t in range(4):
-            assert np.abs(flow[t] @ sol.transitions[t] - flow[t + 1]).max() <= 1e-12
+            assert np.abs(flow[t] @ Pis[t] - flow[t + 1]).max() <= 1e-12
 
     def test_transition_rows_are_distributions(self, g9):
         sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 3),
                                 delta(9, 1), delta(9, 9))
-        for t, P in enumerate(sol.transitions):
+        for t, P in enumerate(dense_steps(sol.edges, sol.transitions)):
             occupied = sol.marginals[t] > 0
             sums = P[occupied].sum(axis=1)
             assert np.abs(sums - 1.0).max() <= 1e-12
@@ -94,7 +107,7 @@ class TestSolve:
 
     def test_bridge_ignores_prior_initial_marginal(self, g9):
         base = boltzmann_prior(g9, 1.0, 4)
-        other = PriorChain(base.matrices,
+        other = PriorChain(base.edges, base.weights,
                            as_marginal([0.9, 0.05, 0.05, 0, 0, 0, 0, 0, 0], 9),
                            base.log_scales)
         a = solve_schrodinger(base, delta(9, 1), delta(9, 9))
@@ -103,7 +116,7 @@ class TestSolve:
 
     def test_bridge_invariant_to_kernel_scaling(self, g9):
         base = boltzmann_prior(g9, 1.0, 4)
-        scaled = PriorChain(base.matrices, base.mu0,
+        scaled = PriorChain(base.edges, base.weights, base.mu0,
                             tuple(s - 7.5 for s in base.log_scales))
         a = solve_schrodinger(base, delta(9, 1), delta(9, 9))
         b = solve_schrodinger(scaled, delta(9, 1), delta(9, 9))
@@ -159,9 +172,12 @@ class TestSolve:
         assert hilbert_distance(nan, nan) == math.inf
         assert hilbert_distance(nan, np.ones(3)) == math.inf
 
-    @settings(max_examples=100)
+    @settings(max_examples=150)
     @given(st.data(), st.integers(1, 4), st.floats(-3.0, 3.0))
     def test_routes_in_the_prior_support_are_feasible(self, data, N, log10_T):
+        # differential check against the enumeration oracle: the solver
+        # matches the conditioned Boltzmann measure, or fails to converge,
+        # and never calls a pair joined in the prior's support infeasible
         n = data.draw(st.integers(2, 6))
         lengths = data.draw(st.lists(st.none() | st.floats(0.0, 3.0),
                                      min_size=n * n, max_size=n * n))
@@ -170,12 +186,15 @@ class TestSolve:
         assume(edges)
         g = DirectedGraph(n, edges)
         src, tgt = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
-        prior = boltzmann_prior(g, 10.0 ** log10_T, N)
+        T = 10.0 ** log10_T
+        prior = boltzmann_prior(g, T, N)
         assume(support_paths(prior, src, tgt))
         try:
-            solve_schrodinger(prior, delta(n, src), delta(n, tgt))
+            sol = solve_schrodinger(prior, delta(n, src), delta(n, tgt))
         except ConvergenceError:
-            pass  # potentials may underflow at low T; that is not infeasibility
+            return  # potentials may underflow at low T; that is not infeasibility
+        want = conditioned_boltzmann(g, T, N, src, tgt)
+        assert total_variation(measure_from_bridge(sol, g), want) <= 1e-10
 
     def test_solver_config_respected(self, g9):
         sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 3),
@@ -267,3 +286,86 @@ class TestRandomGraphs:
                         for p in enumerate_feasible_paths(g, N, source=src))
             assert total == pytest.approx(1.0, abs=1e-10)
             solved += 1
+
+
+class TestEdgeLayout:
+    @settings(max_examples=30)
+    @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(1, 4),
+           st.floats(-1.0, 1.0), st.data())
+    def test_relabelled_shuffled_graph_carries_bridge_with_its_edges(
+            self, seed, n, N, log_T, data):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n)
+        s, t = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+        assume(count_feasible_paths(g, N, source=s, target=t) > 0)
+        label = rng.permutation(n) + 1  # node v of g is node label[v-1] of h
+        order = rng.permutation(len(g.edges))  # edge k of h is edge order[k] of g
+        h = DirectedGraph(n, tuple((int(label[u - 1]), int(label[v - 1]), w)
+                                   for u, v, w in (g.edges[k] for k in order)))
+        s_h, t_h = int(label[s - 1]), int(label[t - 1])
+        T = 10.0 ** log_T
+        a = solve_schrodinger(boltzmann_prior(g, T, N), delta(n, s), delta(n, t))
+        b = solve_schrodinger(boltzmann_prior(h, T, N), delta(n, s_h), delta(n, t_h))
+        assert np.abs(b.transitions - a.transitions[:, order]).max() <= 1e-12
+        assert np.abs(b.marginals[:, label - 1] - a.marginals).max() <= 1e-12
+
+        docs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for graph, src, tgt in ((g, s, t), (h, s_h, t_h)):
+                path, out = Path(tmp) / "g.json", Path(tmp) / "doc.json"
+                path.write_text(dump_graph(graph))
+                assert main(["solve", "--graph", str(path), "--from-delta", str(src),
+                             "--to-delta", str(tgt), "-N", str(N), "-T", repr(T),
+                             "--output", str(out)]) == 0
+                docs.append(json.loads(out.read_text()))
+        doc_g, doc_h = docs
+        assert doc_h["edges"] == [[int(label[u - 1]), int(label[v - 1])]
+                                  for u, v in np.array(doc_g["edges"])[order]]
+        # 12-digit rounding may flip the last digit of an entry
+        got = np.array(doc_h["transitions"]).reshape(N, -1)
+        want = np.array(doc_g["transitions"]).reshape(N, -1)[:, order]
+        assert np.abs(got - want).max() <= 1e-11
+        for key in ("average_length", "entropy"):
+            assert doc_h[key] == pytest.approx(doc_g[key], rel=1e-10, abs=1e-10)
+        relabelled = {"-".join(str(label[int(x) - 1]) for x in k.split("-")): m
+                      for k, m in doc_g["path_masses"].items()}
+        assert relabelled.keys() == doc_h["path_masses"].keys()
+        for k, m in doc_h["path_masses"].items():
+            assert m == pytest.approx(relabelled[k], rel=1e-10)
+
+    @settings(max_examples=30)
+    @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(1, 4),
+           st.floats(-1.0, 1.0), st.floats(-2.0, 2.0), st.data())
+    def test_scaling_lengths_and_temperature_leaves_transitions(
+            self, seed, n, N, log_T, log_c, data):
+        g = random_graph(np.random.default_rng(seed), n)
+        s, t = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+        assume(count_feasible_paths(g, N, source=s, target=t) > 0)
+        T, c = 10.0 ** log_T, 10.0 ** log_c
+        scaled = DirectedGraph(n, tuple((u, v, c * w) for u, v, w in g.edges))
+        a = solve_schrodinger(boltzmann_prior(g, T, N), delta(n, s), delta(n, t))
+        b = solve_schrodinger(boltzmann_prior(scaled, c * T, N), delta(n, s), delta(n, t))
+        assert np.abs(a.transitions - b.transitions).max() <= 1e-12
+
+    def test_solve_and_functionals_stay_in_edge_memory(self):
+        # dense n x n transitions alone would take N * n^2 * 8 bytes = 320 MB
+        rng = np.random.default_rng(5)
+        n, N = 2000, 10
+        g = DirectedGraph(n, tuple(
+            (u, int(v) + 1, float(w)) for u in range(1, n + 1)
+            for v, w in zip(rng.choice(n, 5, replace=False), rng.uniform(0.1, 3.0, 5))))
+        walk = [1]
+        for _ in range(N):
+            walk.append(int(rng.choice(g.successors[walk[-1] - 1])))
+        tracemalloc.start()
+        try:
+            sol = solve_schrodinger(boltzmann_prior(g, 1.0, N), delta(n, 1),
+                                    delta(n, walk[-1]))
+            average_path_length(sol, g)
+            entropy(sol)
+            length_variance(sol, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.transitions.shape == (N, len(g.edges))
+        assert peak < 50 * 2 ** 20

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from netbridge import BridgeSolution, PathMeasure, average_path_length, \
-    boltzmann_prior, count_feasible_paths, delta_marginal, dump_graph, entropy, \
-    g9_network, solve_schrodinger
+from netbridge import BridgeSolution, DirectedGraph, EdgeIndex, PathMeasure, \
+    average_path_length, boltzmann_prior, count_feasible_paths, delta_marginal, \
+    dump_graph, entropy, g9_network, path_counts, solve_schrodinger
 from netbridge._numeric import sig12
 from netbridge.cli import _emit_json, _round_array, _rounded_solution, main
-from conftest import random_graph
+from conftest import dense_steps, random_graph
 
 
 def run(capsys, *argv):
@@ -24,16 +24,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def dense_transitions(doc):
-    """Rebuild the N dense n x n transition matrices of a format-2 document."""
-    n = doc["n"]
+def doc_edges(doc):
+    """The edge index of a format-2 document's "edges"."""
     u, v = (np.array(doc["edges"], dtype=int).reshape(-1, 2) - 1).T
-    out = []
-    for row in doc["transitions"]:
-        P = np.zeros((n, n))
-        P[u, v] = row
-        out.append(P)
-    return tuple(out)
+    return EdgeIndex(doc["n"], u, v)
 
 
 def parse_measure(doc):
@@ -70,11 +64,11 @@ class TestSolve:
         assert abs(average_path_length(m, g9) - doc["average_length"]) <= 1e-12
         assert abs(entropy(m) - doc["entropy"]) <= 1e-12
         # chain route: recompute from the emitted flow and the per-edge
-        # transitions, rebuilt as dense matrices
+        # transitions on the emitted edge list
         flow = np.array(doc["marginal_flow"])
-        Pis = dense_transitions(doc)
-        sol = BridgeSolution(phi=np.ones_like(flow), phi_hat=np.ones_like(flow),
-                             transitions=Pis, marginals=flow,
+        sol = BridgeSolution(edges=doc_edges(doc),
+                             phi=np.ones_like(flow), phi_hat=np.ones_like(flow),
+                             transitions=np.array(doc["transitions"]), marginals=flow,
                              iterations=1, residual=0.0)
         assert abs(average_path_length(sol, g9) - doc["average_length"]) <= 1e-12
         assert abs(entropy(sol) - doc["entropy"]) <= 1e-12
@@ -100,10 +94,11 @@ class TestSolve:
         sol = solve_schrodinger(boltzmann_prior(g, T, N), delta_marginal(n, s),
                                 delta_marginal(n, t))
         want = _rounded_solution(sol).transitions
-        assert len(doc["transitions"]) == N
-        assert all(len(row) == len(g.edges) for row in doc["transitions"])
-        got = dense_transitions(doc)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert want.shape == (N, len(g.edges))
+        assert doc["edges"] == [[u, v] for u, v, _ in g.edges]
+        assert np.array_equal(np.array(doc["transitions"]).reshape(want.shape), want)
+        assert np.array_equal(dense_steps(doc_edges(doc), doc["transitions"]),
+                              dense_steps(sol.edges, want))
 
     def test_non_finite_array_entries_spelled_as_strings(self, tmp_path):
         path = tmp_path / "doc.json"
@@ -161,6 +156,28 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["path_masses"]["1-2-7-9"] == pytest.approx(
             1.0 / (1.0 + 2.0 * np.e), abs=1e-9)
+
+    def test_path_count_counts_once_per_target(self, capsys, monkeypatch, tmp_path):
+        import netbridge.cli as cli
+        calls = []
+
+        def counting(g, N, target=None):
+            calls.append(target)
+            return path_counts(g, N, target)
+
+        monkeypatch.setattr(cli, "path_counts", counting)
+        g = DirectedGraph(5, tuple((u, v, 1.0 + (u * v) % 3) for u in range(1, 6)
+                                   for v in range(1, 6) if u != v))
+        path = tmp_path / "g.json"
+        path.write_text(dump_graph(g))
+        code, out, _ = run(capsys, "solve", "--graph", str(path),
+                           "--from", "[0.4, 0.3, 0.3, 0, 0]", "--to", "[0, 0.5, 0, 0.5, 0]",
+                           "-N", "4", "-T", "1")
+        assert code == 0
+        per_pair = sum(count_feasible_paths(g, 4, source=s, target=t)
+                       for s in (1, 2, 3) for t in (2, 4))
+        assert json.loads(out)["path_count"] == per_pair
+        assert sorted(calls) == [2, 4]
 
     def test_entropy_bits_flag(self, capsys):
         _, out, _ = run(capsys, *SOLVE_G9, "--bits")

@@ -20,7 +20,7 @@ from netbridge import (
     path_length,
     shortest_path_matrix,
 )
-from netbridge.graph import step_paths, step_reach
+from netbridge.graph import EdgeIndex, step_paths, step_reach
 from conftest import random_graph
 
 
@@ -164,6 +164,20 @@ class TestEnumeration:
                         for s in range(1, 10))
         assert total == by_source
 
+    def test_count_exact_past_two_to_the_64(self):
+        # complete digraph with loops on 20 nodes: 20**17 paths of 16 steps,
+        # about 1.3e22, which no fixed-width integer holds
+        g = DirectedGraph(20, tuple((u, v, 1.0) for u in range(1, 21)
+                                    for v in range(1, 21)))
+        assert count_feasible_paths(g, 16) == 20 ** 17
+        assert count_feasible_paths(g, 16, source=3, target=7) == 20 ** 15
+
+    def test_edge_index_lookup(self, g9):
+        edges = g9.edge_index
+        ids = edges.find([0, 6, 8, 0], [1, 8, 8, 8])
+        assert ids.tolist() == [0, 12, 14, -1]
+        assert edges.dst[edges.out_edges(1)].tolist() == [2, 4, 6]
+
     def test_zero_steps(self, g9):
         assert enumerate_feasible_paths(g9, 0, source=3, target=3) == [(3,)]
         assert enumerate_feasible_paths(g9, 0, source=3, target=4) == []
@@ -179,12 +193,21 @@ class TestEnumeration:
 
 @st.composite
 def step_supports(draw):
-    """n <= 6 nodes and N <= 4 steps, each with its own random support."""
+    """n <= 6 nodes, a random edge subset in a random order, and N <= 4
+    steps, each with its own random support on those edges.  Returns the
+    edge index, the (N, E) edge supports and the same supports as dense
+    n x n matrices (false off the edge set)."""
     n = draw(st.integers(1, 6))
     N = draw(st.integers(0, 4))
     cells = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
-    supports = tuple(np.array(draw(cells)).reshape(n, n) for _ in range(N))
-    return n, supports
+    present = draw(cells)
+    keys = [k for k in draw(st.permutations(range(n * n))) if present[k]]
+    edges = EdgeIndex(n, [k // n for k in keys], [k % n for k in keys])
+    dense = tuple(np.array(draw(cells)).reshape(n, n)
+                  & np.array(present).reshape(n, n) for _ in range(N))
+    rows = np.array([S[edges.src, edges.dst] for S in dense],
+                    dtype=bool).reshape(N, edges.E)
+    return edges, rows, dense
 
 
 def brute_force_paths(n, supports):
@@ -197,31 +220,35 @@ class TestStepRoutines:
     @settings(max_examples=100)
     @given(step_supports(), st.data())
     def test_enumerator_matches_brute_force(self, case, data):
-        n, supports = case
+        edges, rows, dense = case
+        n = edges.n
         source = data.draw(st.none() | st.integers(1, n))
         target = data.draw(st.none() | st.integers(1, n))
-        want = [p for p in brute_force_paths(n, supports)
+        want = [p for p in brute_force_paths(n, dense)
                 if source in (None, p[0]) and target in (None, p[-1])]
-        assert step_paths(n, supports, source, target) == want
+        assert step_paths(edges, rows, source, target) == want
 
     @settings(max_examples=100)
     @given(step_supports())
     def test_reach_matches_enumeration(self, case):
-        n, supports = case
-        paths = brute_force_paths(n, supports)
+        edges, rows, dense = case
+        n = edges.n
+        paths = brute_force_paths(n, dense)
         want = np.zeros((n, n), dtype=bool)
         for p in paths:
             want[p[0] - 1, p[-1] - 1] = True
-        assert (step_reach(supports, np.eye(n, dtype=bool))[0] == want).all()
+        assert (step_reach(edges, rows, np.eye(n, dtype=bool))[0] == want).all()
         for j in range(1, n + 1):
-            column = step_reach(supports, np.arange(1, n + 1) == j)[0]
+            column = step_reach(edges, rows, np.arange(1, n + 1) == j)[0]
             assert (column == want[:, j - 1]).all()
 
     def test_reach_counts_do_not_wrap(self):
         # K_257 without self-loops: every node has 256 in-neighbours, which
         # an 8-bit walk count would wrap to zero
-        A = ~np.eye(257, dtype=bool)
-        assert step_reach((A, A), np.eye(257, dtype=bool))[0].all()
+        src, dst = np.nonzero(~np.eye(257, dtype=bool))
+        edges = EdgeIndex(257, src, dst)
+        rows = np.ones((2, edges.E), dtype=bool)
+        assert step_reach(edges, rows, np.eye(257, dtype=bool))[0].all()
 
 
 class TestShortestPaths:

@@ -58,15 +58,20 @@ class TestPriorChain:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PriorChain((np.ones((2, 3)),), np.ones(2) / 2)
+            PriorChain.from_matrices((np.ones((2, 3)),), np.ones(2) / 2)
         with pytest.raises(ValueError):
-            PriorChain((np.ones((2, 2)), np.ones((3, 3))), np.ones(2) / 2)
+            PriorChain.from_matrices((np.ones((2, 2)), np.ones((3, 3))), np.ones(2) / 2)
+        edges = PriorChain.from_matrices((np.ones((2, 2)),), np.ones(2) / 2).edges
+        with pytest.raises(ValueError):
+            PriorChain(edges, np.ones((1, 3)), np.ones(2) / 2)  # 4 edges, 3 weights
+        with pytest.raises(ValueError):
+            PriorChain(edges, np.ones(4), np.ones(2) / 2)  # no step axis
 
     def test_mu0_validation(self):
         with pytest.raises(ValueError):
-            PriorChain((np.ones((2, 2)),), np.array([0.5, -0.5]))
+            PriorChain.from_matrices((np.ones((2, 2)),), np.array([0.5, -0.5]))
         with pytest.raises(ValueError):
-            PriorChain((np.ones((2, 2)),), np.zeros(2))
+            PriorChain.from_matrices((np.ones((2, 2)),), np.zeros(2))
 
     def test_path_mass_matches_manual_product(self, g9):
         T = 1.3
@@ -81,7 +86,7 @@ class TestPriorChain:
 
     def test_scale_annotations_change_true_mass(self, g9):
         base = boltzmann_prior(g9, 1.0, 2)
-        shifted = PriorChain(base.matrices, base.mu0,
+        shifted = PriorChain(base.edges, base.weights, base.mu0,
                              log_scales=tuple(s + 1.0 for s in base.log_scales))
         p = (1, 2, 7)
         assert chain_path_mass(shifted, p) == \
