@@ -7,12 +7,11 @@ potential propagation with boundary corrections (iterative proportional
 fitting); convergence is monitored in the Hilbert projective metric, which
 is the natural scale-invariant contraction metric for this iteration.
 
-Everything here works on the prior's stored (max-normalized) edge
-weights: the transition probabilities and time marginals of the bridge are
-invariant under per-step rescaling of the prior, so the scale factors never
-need to be reapplied.  Potentials are propagated along the edge list with
-np.bincount, and the solved transitions are an (N, E) array on the prior's
-edges, so memory and work per sweep grow with N * E, not N * n^2.
+The loop runs on log potentials over the prior's log edge weights, with a
+log-sum-exp over each node's out-edges (backward) or in-edges (forward), so
+no temperature underflows a potential: one is -inf only at a node that no
+supported route reaches.  The solved transitions are an (N, E) array on the
+prior's edges, so memory and work per sweep grow with N * E, not N * n^2.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numeric import hilbert_distance
 from .errors import ConvergenceError, InfeasibleError
 from .graph import PATH_CAP, DirectedGraph, EdgeIndex, Path, \
     enumerate_feasible_paths, require_routes, step_paths, step_reach
@@ -45,19 +43,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BridgeSolution:
-    """Solved bridge: potentials, per-edge transitions and time marginals.
+    """Solved bridge: per-edge transitions and time marginals.
 
-    phi and phi_hat are (N+1) x n with phi[t] * phi_hat[t] = marginals[t];
     transitions[t, e] is the probability of stepping along edge e of
     `edges` at step t.  Summed over a node's out-edges it is 1 on nodes
-    carrying marginal mass, and it is zero on nodes with zero potential;
-    marginals[0] equals nu0 exactly and marginals[N] matches nuN within
-    `residual`.
+    carrying marginal mass, and it is zero on nodes from which no
+    supported route reaches nuN; marginals is (N+1) x n, marginals[0]
+    equals nu0 to rounding and marginals[N] matches nuN within `residual`.
     """
 
     edges: EdgeIndex
-    phi: np.ndarray
-    phi_hat: np.ndarray
     transitions: np.ndarray
     marginals: np.ndarray
     iterations: int
@@ -125,8 +120,7 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
         If some supported endpoint pair is not connected by an N-step route
         of positive prior mass.
     ConvergenceError
-        If the sweep cap is reached, or a potential underflows or overflows
-        (temperature too low for this horizon).
+        If the sweep cap is reached.
     """
     cfg = config or SolverConfig()
     n = prior.n
@@ -137,10 +131,8 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
     if N == 0:
         if float(np.abs(nu0 - nuN).max()) > 1e-12:
             raise InfeasibleError("N=0 requires identical endpoint marginals")
-        phi = np.ones((1, n))
         return BridgeSolution(
-            edges=prior.edges, phi=phi, phi_hat=nu0[None, :].copy(),
-            transitions=np.zeros((0, prior.edges.E)),
+            edges=prior.edges, transitions=np.zeros((0, prior.edges.E)),
             marginals=nu0[None, :].copy(), iterations=0,
             residual=float(np.abs(nu0 - nuN).max()),
         )
@@ -149,38 +141,29 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
     suppN = nuN > 0.0
     _check_feasible(prior, supp0, suppN)
 
-    W = prior.weights
-    src, dst = prior.edges.src, prior.edges.dst
-    phi = np.zeros((N + 1, n))
-    phi_hat = np.zeros((N + 1, n))
-    phi_N = np.ones(n)
+    # phi = exp(lphi), phi_hat = exp(lphi_hat).  Feasibility makes lphi[0]
+    # finite on supp0 and lphi_hat[N] finite on suppN, where the boundary
+    # corrections are taken.
+    LW = prior.log_weights
+    edges = prior.edges
+    src, dst = edges.src, edges.dst
+    log_nu0, log_nuN = np.log(nu0[supp0]), np.log(nuN[suppN])
+    lphi = np.full((N + 1, n), -np.inf)
+    lphi_hat = np.full((N + 1, n), -np.inf)
+    lphi_N = np.zeros(log_nuN.size)  # on suppN
     iterations = 0
-    delta = float("inf")
     while True:
         iterations += 1
-        phi[N] = phi_N
+        lphi[N][suppN] = lphi_N
         for t in range(N - 1, -1, -1):
-            phi[t] = np.bincount(src, W[t] * phi[t + 1][dst], minlength=n)
-        # an underflowed potential shows as an infinite (or NaN) reciprocal
-        with np.errstate(divide="ignore", over="ignore"):
-            phi_hat[0] = np.where(supp0, nu0 / np.where(supp0, phi[0], 1.0), 0.0)
-        if not np.all(np.isfinite(phi_hat[0])):
-            raise ConvergenceError(
-                "source potential underflowed on supported nodes; "
-                "temperature is too low for this horizon",
-                iterations=iterations,
-            )
+            lphi[t] = edges.logsumexp(LW[t] + lphi[t + 1][dst])
+        lphi_hat[0][supp0] = log_nu0 - lphi[0][supp0]
         for t in range(N):
-            phi_hat[t + 1] = np.bincount(dst, W[t] * phi_hat[t][src], minlength=n)
-        with np.errstate(divide="ignore", over="ignore"):
-            phi_N_new = np.where(suppN, nuN / np.where(suppN, phi_hat[N], 1.0), 0.0)
-        if not np.all(np.isfinite(phi_N_new)):
-            raise ConvergenceError(
-                "terminal potential underflowed or overflowed on supported nodes; "
-                "temperature is too low for this horizon",
-                iterations=iterations,
-            )
-        delta = hilbert_distance(phi_N_new, phi_N)
+            lphi_hat[t + 1] = edges.logsumexp(LW[t] + lphi_hat[t][src], incoming=True)
+        lphi_N_new = log_nuN - lphi_hat[N][suppN]
+        # the Hilbert distance of the two terminal potentials
+        change = lphi_N_new - lphi_N
+        delta = float(change.max() - change.min())
         if delta <= cfg.tol:
             break
         if iterations >= cfg.max_iter:
@@ -189,17 +172,18 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
                 f"(last Hilbert-metric change {delta:.3e})",
                 residual=delta, iterations=iterations,
             )
-        phi_N = phi_N_new / phi_N_new.max()
+        lphi_N = lphi_N_new - lphi_N_new.max()
 
     # Pi_t(i, j) = W_t(i, j) phi_{t+1}(j) / phi_t(i) on rows with phi_t(i) > 0
-    phi_src = phi[:-1][:, src]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        transitions = np.where(phi_src > 0.0, W * phi[1:][:, dst] / phi_src, 0.0)
-    marginals = phi * phi_hat
+    lphi_src = lphi[:-1][:, src]
+    with np.errstate(invalid="ignore"):
+        transitions = np.where(lphi_src > -np.inf,
+                               np.exp(LW + lphi[1:][:, dst] - lphi_src), 0.0)
+    marginals = np.exp(lphi + lphi_hat)
     residual = float(np.abs(marginals[N] - nuN).max())
     return BridgeSolution(
-        edges=prior.edges, phi=phi, phi_hat=phi_hat, transitions=transitions,
-        marginals=marginals, iterations=iterations, residual=residual,
+        edges=prior.edges, transitions=transitions, marginals=marginals,
+        iterations=iterations, residual=residual,
     )
 
 
@@ -276,7 +260,8 @@ def iterated_bridge_check(prior: PriorChain, first, second,
     nu0_1, nuN_1 = first
     nu0_2, nuN_2 = second
     sol_first = solve_schrodinger(prior, nu0_1, nuN_1, config)
-    inner = PriorChain(prior.edges, sol_first.transitions, sol_first.marginals[0])
+    with np.errstate(divide="ignore"):
+        inner = PriorChain(prior.edges, np.log(sol_first.transitions), sol_first.marginals[0])
     direct = solve_schrodinger(prior, nu0_2, nuN_2, config)
     nested = solve_schrodinger(inner, nu0_2, nuN_2, config)
     return float(np.abs(direct.transitions - nested.transitions).max(initial=0.0))

@@ -19,7 +19,7 @@ from .bridge import BridgeSolution, SolverConfig, as_marginal, path_probability,
     solve_schrodinger
 from .errors import ConvergenceError, InfeasibleBudgetError, InfeasibleError, \
     NetbridgeError
-from .graph import PATH_CAP, DirectedGraph, Path, enumerate_feasible_paths, path_length
+from .graph import PATH_CAP, DirectedGraph, Path, path_length
 from .metrics import PathMeasure, average_path_length, entropy
 from .oracle import measure_from_bridge
 from .prior import boltzmann_prior
@@ -91,44 +91,61 @@ def expected_length_at(g: DirectedGraph, nu0, nuN, N: int, T: float,
 
 def length_variance(sol: BridgeSolution, g: DirectedGraph) -> float:
     """Variance of the total path length under a solved bridge, by an exact
-    forward second-moment recursion over the chain."""
-    # per-node accumulators: occupation w, E[L; X_t=i] a, E[L^2; X_t=i] b,
-    # pushed along the edges src -> dst at every step
+    forward recursion over the chain.
+
+    Each node carries its occupation w, the mean length m of the mass on
+    it and that mass's summed squared deviations s; in-edges are merged by
+    Chan's pairwise update, so no E[L^2] - E[L]^2 cancellation loses the
+    variance as T -> 0.
+    """
     lengths = g.lengths_on(sol.edges)
     src, dst = sol.edges.src, sol.edges.dst
     n = sol.n
     w = sol.marginals[0].copy()
-    a = np.zeros(n)
-    b = np.zeros(n)
+    m = np.zeros(n)
+    s = np.zeros(n)
     for t in range(sol.N):
         P = sol.transitions[t]
-        step = np.where((P > 0.0) & np.isfinite(lengths), lengths, 0.0)
-        fw, fa = w[src] * P, a[src] * P
-        w, a, b = (np.bincount(dst, fw, minlength=n),
-                   np.bincount(dst, fa + fw * step, minlength=n),
-                   np.bincount(dst, b[src] * P + 2.0 * fa * step + fw * step * step,
-                               minlength=n))
+        f = w[src] * P
+        through = m[src] + np.where((P > 0.0) & np.isfinite(lengths), lengths, 0.0)
+        w = np.bincount(dst, f, minlength=n)
+        m = np.divide(np.bincount(dst, f * through, minlength=n), w,
+                      out=np.zeros(n), where=w > 0.0)
+        dev = through - m[dst]
+        s = np.bincount(dst, s[src] * P + f * dev * dev, minlength=n)
     total = w.sum()
     if total <= 0.0:
         return 0.0
-    mean = a.sum() / total
-    return max(b.sum() / total - mean * mean, 0.0)
+    return float(s.sum() / total + (w * (m - (w * m).sum() / total) ** 2).sum() / total)
 
 
-def _delta_family_lengths(g: DirectedGraph, nu0: np.ndarray, nuN: np.ndarray,
-                          N: int) -> list[float] | None:
-    """Sorted path lengths of the admissible family for a delta-pinned pair."""
+def _family_bounds(g: DirectedGraph, nu0: np.ndarray, nuN: np.ndarray,
+                   N: int) -> tuple[float, float, float] | None:
+    """(min, max, plain mean) of the lengths of the N-step paths joining a
+    delta-pinned pair, by min-plus, max-plus and count/length-sum backward
+    recursions from the target; None unless both ends are deltas."""
     s0 = np.flatnonzero(nu0 > 0)
     sN = np.flatnonzero(nuN > 0)
     if len(s0) != 1 or len(sN) != 1:
         return None
-    paths = enumerate_feasible_paths(g, N, source=int(s0[0]) + 1,
-                                     target=int(sN[0]) + 1, cap=PATH_CAP)
-    if not paths:
-        raise InfeasibleError(
-            f"no {N}-step path from node {int(s0[0]) + 1} to node {int(sN[0]) + 1}"
-        )
-    return sorted(path_length(g, p) for p in paths)
+    edges = g.edge_index
+    src, dst, lengths = edges.src, edges.dst, g.lengths
+    at_target = np.arange(g.n) == sN[0]
+    lo = np.where(at_target, 0.0, np.inf)
+    hi = np.where(at_target, 0.0, -np.inf)
+    count = at_target.astype(float)
+    total = np.zeros(g.n)
+    for _ in range(N):
+        lo = edges.reduce(np.minimum, lengths + lo[dst], empty=np.inf)
+        hi = edges.reduce(np.maximum, lengths + hi[dst], empty=-np.inf)
+        total = np.bincount(src, total[dst] + lengths * count[dst], minlength=g.n)
+        count = np.bincount(src, count[dst], minlength=g.n)
+        scale = count.max() or 1.0  # only ratios matter; keeps counts finite
+        total, count = total / scale, count / scale
+    s = s0[0]
+    if count[s] == 0.0:
+        raise InfeasibleError(f"no {N}-step path from node {s + 1} to node {sN[0] + 1}")
+    return float(lo[s]), float(hi[s]), float(total[s] / count[s])
 
 
 def _bracket_end(probe, beyond, T: float, limit: float, inner: float,
@@ -200,10 +217,9 @@ def calibrate_temperature(g: DirectedGraph, nu0, nuN, N: int, budget,
     nuN = as_marginal(nuN, g.n)
 
     bounds = None
-    lengths = _delta_family_lengths(g, nu0, nuN, N)
-    if lengths is not None:
-        lmin, lmax = lengths[0], lengths[-1]
-        mean = float(np.mean(lengths))
+    family = _family_bounds(g, nu0, nuN, N)
+    if family is not None:
+        lmin, lmax, mean = family
         bounds = (lmin, mean)
         if lmax - lmin <= 1e-12 * max(1.0, abs(lmax)):
             raise InfeasibleError(
@@ -222,8 +238,8 @@ def calibrate_temperature(g: DirectedGraph, nu0, nuN, N: int, budget,
     def probe(T: float) -> float | None:
         try:
             return expected_length_at(g, nu0, nuN, N, T, config)
-        except (ConvergenceError, InfeasibleError):
-            return None  # numeric breakdown at an extreme temperature
+        except ConvergenceError:
+            return None  # the sweep cap, reached at an extreme temperature
 
     lo, e_lo = _bracket_end(probe, lambda e: e > target, BRACKET_START[0],
                             BRACKET_LIMIT[0], BRACKET_START[1])

@@ -1,13 +1,14 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 usage/input errors, 2 infeasible instances,
-3 non-convergence (including potentials that underflow or overflow at very
-low temperature).  Diagnostics go to stderr; documents go to --output
-(default stdout).  All floats in emitted documents are rounded to 12
-significant digits before any derived quantity is computed from them, so a
-document is exactly self-consistent and two runs with the same
-configuration produce byte-identical output.  JSON has no literals for
-non-finite numbers; they are emitted as the strings "inf", "-inf", "nan".
+3 non-convergence (the solver's sweep cap, or a budget that needs a
+temperature at which the length does not evaluate).  Diagnostics go to
+stderr; documents go to --output (default stdout).  All floats in emitted
+documents are rounded to 12 significant digits before any derived quantity
+is computed from them, so a document is exactly self-consistent and two
+runs with the same configuration produce byte-identical output.  JSON has
+no literals for non-finite numbers; they are emitted as the strings "inf",
+"-inf", "nan".
 
 The `solve` flow document ("format": 2) writes its transitions per graph
 edge, exactly as the solver stores them: "edges" lists the [u, v] pairs in
@@ -24,6 +25,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -32,8 +34,7 @@ from ._numeric import sig12
 from .bridge import BridgeSolution, SolverConfig, as_marginal, delta_marginal, \
     iterated_bridge_check, most_probable_paths, path_probability, \
     restriction_ratio_check, solve_schrodinger
-from .calibrate import TemperatureLimit, calibrate_temperature, length_variance, \
-    temperature_sweep
+from .calibrate import TemperatureLimit, calibrate_temperature, temperature_sweep
 from .errors import ConvergenceError, EnumerationCapError, GraphFormatError, \
     InfeasibleBudgetError, InfeasibleError
 from .graph import DirectedGraph, enumerate_feasible_paths, g9_network, load_graph, \
@@ -173,12 +174,7 @@ def _rounded_solution(sol: BridgeSolution) -> BridgeSolution:
     flow = [_round_array(sol.marginals[0])]
     for P in transitions:
         flow.append(np.bincount(dst, flow[-1][src] * P, minlength=sol.n))
-    return BridgeSolution(
-        edges=sol.edges, phi=sol.phi, phi_hat=sol.phi_hat,
-        transitions=transitions,
-        marginals=np.array(flow),
-        iterations=sol.iterations, residual=sol.residual,
-    )
+    return replace(sol, transitions=transitions, marginals=np.array(flow))
 
 
 def _path_key(p) -> str:
@@ -536,9 +532,7 @@ def _verify_checks(args, g, nu0, nuN, cfg):
         bad = sol.transitions.copy()
         i = int(np.argmax(sol.marginals[0] > 0))
         bad[0, sol.edges.out_edges(i)] *= 0.5  # break row structure deliberately
-        sol = BridgeSolution(edges=sol.edges, phi=sol.phi, phi_hat=sol.phi_hat,
-                             transitions=bad, marginals=sol.marginals,
-                             iterations=sol.iterations, residual=sol.residual)
+        sol = replace(sol, transitions=bad)
 
     checks.append(("solver-marginals",
                    max(float(np.abs(sol.marginals[0] - nu0).max()),

@@ -52,8 +52,12 @@ class EdgeIndex:
         key = src * self.n + dst
         order = np.argsort(key, kind="stable")
         keys = key[order]
-        if np.any(keys[1:] == keys[:-1]):
-            raise ValueError("duplicate edge in edge index")
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if dup.size:
+            # a stable sort puts a pair's first occurrence first; messages
+            # name the edge by position and its nodes 1-based, as documents do
+            e = int(order[dup + 1].min())
+            raise ValueError(f"edges[{e}]: duplicate edge ({src[e] + 1}, {dst[e] + 1})")
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "order", order)
@@ -76,22 +80,47 @@ class EdgeIndex:
         """Ids of the edges leaving node v (0-based), by ascending target."""
         return self.order[self.starts[v]:self.starts[v + 1]]
 
+    def reduce(self, ufunc, vals: np.ndarray, empty) -> np.ndarray:
+        """ufunc reduced over each node's out-edges: one entry per edge along
+        vals' first axis in, one per node out, `empty` for a node with none."""
+        heads = self.starts[:-1]
+        has = heads < self.starts[1:]
+        out = np.full((self.n,) + vals.shape[1:], empty, dtype=vals.dtype)
+        if has.any():
+            # out-edges are contiguous in `order`, so skipping the nodes
+            # without any leaves each head's group running up to the next head
+            out[has] = ufunc.reduceat(vals[self.order], heads[has], axis=0)
+        return out
+
+    def logsumexp(self, vals: np.ndarray, incoming: bool = False) -> np.ndarray:
+        """log sum exp of vals over each node's out-edges (in-edges if
+        `incoming`); -inf for a node with none or with all of them -inf."""
+        # scattered by node, which for one vector beats two reduceat passes
+        key = self.dst if incoming else self.src
+        top = np.full(self.n, -np.inf)
+        np.maximum.at(top, key, vals)
+        shift = np.where(top > -np.inf, top, 0.0)
+        with np.errstate(divide="ignore"):
+            return shift + np.log(np.bincount(key, np.exp(vals - shift[key]), minlength=self.n))
+
 
 @dataclass(frozen=True)
 class DirectedGraph:
     """A finite directed graph with nonnegative edge lengths.
 
     Self-loops are allowed, duplicate edges are not.  `edges` holds
-    (from_node, to_node, length) triples with 1-based node ids.
+    (from_node, to_node, length) triples with 1-based node ids;
+    `edge_index` and `lengths` hold the same edges as arrays, in that order.
     """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
+    edge_index: EdgeIndex = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise GraphFormatError(f"n must be a positive integer, got {self.n!r}")
-        seen = set()
         norm = []
         for k, edge in enumerate(self.edges):
             try:
@@ -100,28 +129,22 @@ class DirectedGraph:
                 raise GraphFormatError(f"edges[{k}]: expected (from, to, length), got {edge!r}")
             if not isinstance(u, int) or not isinstance(v, int):
                 raise GraphFormatError(f"edges[{k}]: node ids must be integers, got {edge!r}")
+            # checked here, not on an array: a node id need not fit in one
             if not (1 <= u <= self.n) or not (1 <= v <= self.n):
                 raise GraphFormatError(f"edges[{k}]: node out of range 1..{self.n}: ({u}, {v})")
-            length = float(length)
-            if not np.isfinite(length) or length < 0.0:
-                raise GraphFormatError(f"edges[{k}]: length must be finite and >= 0, got {length!r}")
-            if (u, v) in seen:
-                raise GraphFormatError(f"edges[{k}]: duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            norm.append((u, v, length))
+            norm.append((u, v, float(length)))
+        lengths = np.array([w for _, _, w in norm], dtype=float)
+        for k in np.flatnonzero(~(np.isfinite(lengths) & (lengths >= 0.0)))[:1]:
+            raise GraphFormatError(f"edges[{k}]: length must be finite and >= 0, "
+                                   f"got {norm[k][2]!r}")
+        try:
+            index = EdgeIndex(self.n, np.array([u - 1 for u, _, _ in norm], dtype=np.intp),
+                              np.array([v - 1 for _, v, _ in norm], dtype=np.intp))
+        except ValueError as exc:  # a duplicate pair
+            raise GraphFormatError(str(exc)) from None
         object.__setattr__(self, "edges", tuple(norm))
-
-    @cached_property
-    def edge_index(self) -> EdgeIndex:
-        """The edges as 0-based index arrays, in document order."""
-        src = np.array([u - 1 for u, _, _ in self.edges], dtype=np.intp)
-        dst = np.array([v - 1 for _, v, _ in self.edges], dtype=np.intp)
-        return EdgeIndex(self.n, src, dst)
-
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        """Edge lengths in document order (column e of edge_index)."""
-        return np.array([w for _, _, w in self.edges], dtype=float)
+        object.__setattr__(self, "edge_index", index)
+        object.__setattr__(self, "lengths", lengths)
 
     def lengths_on(self, edges: EdgeIndex) -> np.ndarray:
         """Length of each edge of `edges` in this graph; +inf where it has no such edge."""
@@ -134,8 +157,7 @@ class DirectedGraph:
     def length_matrix(self) -> np.ndarray:
         """n x n matrix of edge lengths, +inf where there is no edge."""
         L = np.full((self.n, self.n), np.inf)
-        for u, v, w in self.edges:
-            L[u - 1, v - 1] = w
+        L[self.edge_index.src, self.edge_index.dst] = self.lengths
         return L
 
     @cached_property
@@ -242,15 +264,9 @@ def step_reach(edges: EdgeIndex, supports, ends: np.ndarray) -> list[np.ndarray]
     """
     ends = np.asarray(ends, dtype=bool)
     ok = [ends if ends.ndim == 2 else ends[:, None]]
-    heads = edges.starts[:-1]
-    has_out = heads < edges.starts[1:]
     for S in reversed(supports):
-        live = (np.asarray(S, dtype=bool)[:, None] & ok[-1][edges.dst])[edges.order]
-        reach = np.zeros_like(ok[-1])
-        if has_out.any():
-            # out-edges of a node are contiguous in `order`
-            reach[has_out] = np.logical_or.reduceat(live, heads[has_out], axis=0)
-        ok.append(reach)
+        live = np.asarray(S, dtype=bool)[:, None] & ok[-1][edges.dst]
+        ok.append(edges.reduce(np.logical_or, live, empty=False))
     ok.reverse()
     return [x.reshape(ends.shape) for x in ok]
 
@@ -353,9 +369,7 @@ def path_counts(g: DirectedGraph, N: int, target: int | None = None) -> np.ndarr
         counts[target - 1] = 1
     edges = g.edge_index
     for _ in range(N):
-        nxt = np.zeros(g.n, dtype=object)
-        np.add.at(nxt, edges.src, counts[edges.dst])
-        counts = nxt
+        counts = edges.reduce(np.add, counts[edges.dst], empty=0)
     return counts
 
 

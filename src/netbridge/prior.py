@@ -1,14 +1,13 @@
 """Reference path measures: Boltzmann chains and the Ruelle-Bowen chain.
 
 A prior is a Markov chain on the graph's nodes given by an initial
-distribution and one weight per edge and step, stored as an (N, E) array
-over an EdgeIndex; a time-homogeneous chain stores its one row once and
-broadcasts it over the steps.  Each step's weights are kept
-max-entry-normalized with a separate log scale factor so that very low
-temperatures (entries like exp(-40) and below) stay representable; every
-consumer that needs true masses works in log space.  Dense n x n matrices
-appear only at the boundary: PriorChain.from_matrices, PriorChain.matrix
-and the power iteration in perron.
+distribution and one log weight per edge and step, stored as an (N, E)
+array over an EdgeIndex; a time-homogeneous chain stores its one row once
+and broadcasts it over the steps.  Log weights keep every magnitude
+representable at any temperature (a Boltzmann weight is just -length/T),
+and -inf marks exactly the edges outside a step's support.  Dense n x n
+matrices appear only at the boundary: PriorChain.from_matrices,
+PriorChain.matrix and the power iteration in perron.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numeric import hilbert_distance
+from ._numeric import hilbert_distance, logsumexp
 from .errors import ConvergenceError, InfeasibleError, PrimitivityError
 from .graph import DirectedGraph, EdgeIndex
 
@@ -30,44 +29,36 @@ PERRON_MAX_ITER = 100_000
 class PriorChain:
     """Markov reference measure on N-step paths, stored on an edge list.
 
-    weights[t, e] is the stored weight of a step along edge e of `edges` at
-    step t; the true weight is exp(log_scales[t]) * weights[t, e], so the
-    weights carry the shape and the scales the magnitude.  Steps along no
-    edge have weight zero.  mu0 must be nonnegative with positive total
-    mass.  (Strict positivity is the standard assumption but is
-    deliberately not enforced: the invariant measure of the Ruelle-Bowen
-    chain on a graph with an absorbing node is a point mass, and none of
-    the bridge recursions divide by mu0.)
+    log_weights[t, e] is the log weight of a step along edge e of `edges`
+    at step t, -inf where step t has no weight on that edge.  mu0 must be
+    nonnegative with positive total mass.  (Strict positivity is the
+    standard assumption but is deliberately not enforced: the invariant
+    measure of the Ruelle-Bowen chain on a graph with an absorbing node is
+    a point mass, and none of the bridge recursions divide by mu0.)
     """
 
     edges: EdgeIndex
-    weights: np.ndarray
+    log_weights: np.ndarray
     mu0: np.ndarray
-    log_scales: tuple[float, ...] = ()
 
     def __post_init__(self):
-        W = np.asarray(self.weights, dtype=float)
+        W = np.asarray(self.log_weights, dtype=float)
         E = self.edges.E
         if W.ndim != 2 or W.shape[1] != E:
-            raise ValueError(f"weights must be N x {E}, got shape {W.shape}")
-        if not np.all(np.isfinite(W)) or np.any(W < 0):
-            raise ValueError("weights must be finite and nonnegative")
+            raise ValueError(f"log_weights must be N x {E}, got shape {W.shape}")
+        if not np.all(W < np.inf):
+            raise ValueError("log_weights must be finite or -inf")
         n = self.edges.n
         mu0 = np.asarray(self.mu0, dtype=float)
         if mu0.shape != (n,):
             raise ValueError(f"mu0 must have length {n}, got shape {mu0.shape}")
         if np.any(mu0 < 0) or not np.all(np.isfinite(mu0)) or mu0.sum() <= 0:
             raise ValueError("mu0 must be nonnegative with positive total mass")
-        scales = tuple(float(s) for s in self.log_scales) or (0.0,) * W.shape[0]
-        if len(scales) != W.shape[0]:
-            raise ValueError("log_scales must match the number of steps")
-        object.__setattr__(self, "weights", W)
+        object.__setattr__(self, "log_weights", W)
         object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "log_scales", scales)
 
     @classmethod
-    def from_matrices(cls, matrices: Sequence[np.ndarray], mu0,
-                      log_scales: Sequence[float] = ()) -> "PriorChain":
+    def from_matrices(cls, matrices: Sequence[np.ndarray], mu0) -> "PriorChain":
         """Chain whose step t has the dense n x n weight matrix matrices[t].
 
         The edges are the positions positive in some matrix, row-major.
@@ -84,11 +75,12 @@ class PriorChain:
             support |= M > 0
         src, dst = np.nonzero(support)
         weights = np.array([M[src, dst] for M in mats]).reshape(len(mats), src.size)
-        return cls(EdgeIndex(n, src, dst), weights, mu0, tuple(log_scales))
+        with np.errstate(divide="ignore"):
+            return cls(EdgeIndex(n, src, dst), np.log(weights), mu0)
 
     @property
     def N(self) -> int:
-        return self.weights.shape[0]
+        return self.log_weights.shape[0]
 
     @property
     def n(self) -> int:
@@ -97,12 +89,12 @@ class PriorChain:
     @property
     def support(self) -> np.ndarray:
         """(N, E) boolean: the edges with positive weight at each step."""
-        return self.weights > 0
+        return self.log_weights > -np.inf
 
     def matrix(self, t: int) -> np.ndarray:
-        """True (unscaled) dense n x n transition-weight matrix for step t."""
+        """Dense n x n transition-weight matrix for step t."""
         M = np.zeros((self.n, self.n))
-        M[self.edges.src, self.edges.dst] = np.exp(self.log_scales[t]) * self.weights[t]
+        M[self.edges.src, self.edges.dst] = np.exp(self.log_weights[t])
         return M
 
 
@@ -128,13 +120,11 @@ def check_temperature(T: float) -> float:
     return T
 
 
-def _boltzmann_weights(g: DirectedGraph, T: float) -> tuple[np.ndarray, float]:
-    """Edge weights exp(-l_e / T) in edge order, max-entry-normalized;
-    returns (stored, log_scale)."""
+def _log_boltzmann_weights(g: DirectedGraph, T: float) -> np.ndarray:
+    """Edge log weights -l_e / T in edge order."""
     if not g.edges:
         raise InfeasibleError("graph has no edges")
-    lmin = g.lengths.min()
-    return np.exp(-(g.lengths - lmin) / T), -lmin / T
+    return -g.lengths / T
 
 
 def boltzmann_prior(g: DirectedGraph, T: float, N: int) -> PriorChain:
@@ -144,8 +134,8 @@ def boltzmann_prior(g: DirectedGraph, T: float, N: int) -> PriorChain:
     is uniform (1/n); the bridge is invariant under positive rescaling of
     mu0, so reported relative entropies against this prior differ from those
     against the probability-normalized Boltzmann measure by ln Z - ln(1/n)
-    only.  The weights are one row over the graph's edges, broadcast (not
-    copied) over the N steps.
+    only.  The log weights are one row over the graph's edges, broadcast
+    (not copied) over the N steps.
     """
     check_temperature(T)
     if N < 0:
@@ -153,18 +143,13 @@ def boltzmann_prior(g: DirectedGraph, T: float, N: int) -> PriorChain:
     mu0 = np.full(g.n, 1.0 / g.n)
     if N == 0:
         return PriorChain(g.edge_index, np.zeros((0, len(g.edges))), mu0)
-    w, log_scale = _boltzmann_weights(g, T)
-    return PriorChain(g.edge_index, np.broadcast_to(w, (N, w.size)), mu0,
-                      (log_scale,) * N)
+    lw = _log_boltzmann_weights(g, T)
+    return PriorChain(g.edge_index, np.broadcast_to(lw, (N, lw.size)), mu0)
 
 
 def log_path_weight(prior: PriorChain, p: Sequence[int]) -> float:
-    """log of prod_t M(t)[x_t, x_{t+1}] at true scale (mu0 excluded); -inf if
-    some step of the path has no weight.
-
-    Summed in log space so long low-temperature products do not underflow
-    step by step.
-    """
+    """log of prod_t M(t)[x_t, x_{t+1}] (mu0 excluded); -inf if some step of
+    the path has no weight."""
     p = tuple(p)
     if len(p) != prior.N + 1:
         raise ValueError(f"path has {len(p) - 1} steps, prior expects {prior.N}")
@@ -173,13 +158,9 @@ def log_path_weight(prior: PriorChain, p: Sequence[int]) -> float:
         if not (1 <= x <= n):
             raise ValueError(f"node {x} out of range 1..{n}")
     ids = prior.edges.find(np.array(p[:-1]) - 1, np.array(p[1:]) - 1)
-    total = sum(prior.log_scales)
-    for t, e in enumerate(ids.tolist()):
-        m = prior.weights[t, e] if e >= 0 else 0.0
-        if m == 0.0:
-            return float("-inf")
-        total += float(np.log(m))
-    return total
+    if np.any(ids < 0):
+        return float("-inf")
+    return float(prior.log_weights[np.arange(prior.N), ids].sum())
 
 
 def chain_path_mass(prior: PriorChain, p: Sequence[int]) -> float:
@@ -192,24 +173,21 @@ def chain_path_mass(prior: PriorChain, p: Sequence[int]) -> float:
 def partition_function(g: DirectedGraph, T: float, N: int) -> float:
     """Sum of exp(-l(x)/T) over all feasible N-step paths from every start node.
 
-    Computed by a backward recursion over the edge list that renormalizes
-    at every step, so tests can check it against direct path enumeration.
+    Computed by a backward log-space recursion over the edge list, so tests
+    can check it against direct path enumeration.
     """
     check_temperature(T)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    w, log_scale = _boltzmann_weights(g, T)
-    src, dst = g.edge_index.src, g.edge_index.dst
-    x = np.ones(g.n)
-    log_c = 0.0
+    lw = _log_boltzmann_weights(g, T)
+    edges = g.edge_index
+    x = np.zeros(g.n)
     for _ in range(N):
-        x = np.bincount(src, w * x[dst], minlength=g.n)
-        m = x.max()
-        if m == 0.0:
-            raise InfeasibleError(f"no feasible {N}-step paths")
-        x /= m
-        log_c += log_scale + np.log(m)
-    return float(np.exp(log_c + np.log(x.sum())))
+        x = edges.logsumexp(lw + x[edges.dst])
+    log_z = logsumexp(x)
+    if log_z == -np.inf:
+        raise InfeasibleError(f"no feasible {N}-step paths")
+    return float(np.exp(log_z))
 
 
 def _primitivity_witness(B: np.ndarray) -> tuple[bool, tuple[int, int, int] | None]:
@@ -352,17 +330,21 @@ def ruelle_bowen_chain(g: DirectedGraph, T: float, N: int,
     for i, succ in enumerate(g.successors):
         if not succ:
             raise InfeasibleError(f"node {i + 1} has no outgoing edges")
-    w, _ = _boltzmann_weights(g, T)  # scale cancels in the conjugation
+    lw = _log_boltzmann_weights(g, T)
     edges = g.edge_index
+    # the power iteration needs linear weights; a constant shift of the log
+    # weights scales B, which the conjugation cancels
+    shift = lw.max()
     B = np.zeros((g.n, g.n))
-    B[edges.src, edges.dst] = w
+    B[edges.src, edges.dst] = np.exp(lw - shift)
     trip = perron(B, tol=tol)
     if np.any(trip.v <= 0):
         i = int(np.argmin(trip.v)) + 1
         raise InfeasibleError(
             f"right Perron vector vanishes at node {i}; no stationary chain exists"
         )
-    R = w * trip.v[edges.dst] / (trip.lam * trip.v[edges.src])
+    log_v = np.log(trip.v)
+    log_R = lw - shift + log_v[edges.dst] - np.log(trip.lam) - log_v[edges.src]
     mu = trip.u * trip.v
     mu = mu / mu.sum()
-    return PriorChain(edges, np.broadcast_to(R, (N, R.size)), mu)
+    return PriorChain(edges, np.broadcast_to(log_R, (N, log_R.size)), mu)

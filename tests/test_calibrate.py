@@ -12,9 +12,12 @@ from netbridge import (
     InfeasibleBudgetError,
     InfeasibleError,
     LengthBudget,
+    SolverConfig,
     TemperatureLimit,
+    as_marginal,
     boltzmann_prior,
     calibrate_temperature,
+    conditioned_boltzmann,
     delta_marginal,
     enumerate_feasible_paths,
     expected_length_at,
@@ -85,26 +88,49 @@ class TestCalibration:
         assert res.temperature is TemperatureLimit.INFINITY
         assert res.bounds == pytest.approx((3.0, 25.0 / 7.0))
 
+    def test_bounds_of_a_family_too_large_to_count_in_floats(self):
+        # 20^239 ~ 1e311 paths join 1 and 2 in the complete graph with
+        # self-loops; their interior nodes are i.i.d. uniform, so the mean
+        # is the mean first step, N - 2 mean edges and the mean last step
+        n, N = 20, 240
+        L = np.random.default_rng(8).uniform(0.1, 3.0, (n, n)).round(3)
+        g = DirectedGraph(n, tuple((i + 1, j + 1, float(L[i, j]))
+                                   for i in range(n) for j in range(n)))
+        res = calibrate_temperature(g, delta(n, 1), delta(n, 2), N, 1e9)
+        assert res.temperature is TemperatureLimit.INFINITY
+        mean = L[0].mean() + (N - 2) * L.mean() + L[:, 1].mean()
+        assert res.bounds[1] == pytest.approx(mean, rel=1e-12)
+        assert N * L.min() <= res.bounds[0] < mean
+
     def test_constant_length_family_rejected(self, g9):
         # every admissible 3-step route has length 3; no interior solution
         with pytest.raises(InfeasibleError):
             calibrate_temperature(g9, delta(9, 1), delta(9, 9), 3, 3.0)
 
     def test_failed_probe_is_not_read_as_above_budget(self):
-        # T=1e-2 underflows on this instance, but L(0.1) ~ 12.401 and
-        # L(1) ~ 13.122 evaluate: the budget lies inside the bracket
+        # bounds [12.382, 16.00255]; the first bracket probe, T = 1e-2,
+        # evaluates to L ~ 12.3823, just below the lower budget
         g = random_graph(np.random.default_rng(4), 40, 0.08)
-        res = calibrate_temperature(g, delta(40, 1), delta(40, 2), 8, 13.5)
-        assert res.bounds == pytest.approx((12.382, 16.00255))
-        assert not res.at_bound
-        assert abs(expected_length_at(g, delta(40, 1), delta(40, 2), 8,
-                                      res.temperature) - 13.5) <= 1e-8
+        for budget in (13.5, 12.383):
+            res = calibrate_temperature(g, delta(40, 1), delta(40, 2), 8, budget)
+            assert res.bounds == pytest.approx((12.382, 16.00255))
+            assert not res.at_bound
+            assert abs(expected_length_at(g, delta(40, 1), delta(40, 2), 8,
+                                          res.temperature) - budget) <= 1e-8
 
-    def test_budget_below_lowest_evaluable_temperature_raises(self):
-        # L at the lowest temperature that evaluates (about 0.016) is ~12.384
-        g = random_graph(np.random.default_rng(4), 40, 0.08)
+    def test_budget_below_lowest_evaluable_temperature_raises(self, g9):
+        # with spread endpoint marginals the fitting contracts ever more
+        # slowly as T falls: under a 300-sweep cap it converges at T=0.3
+        # (L ~ 2.63) but not at T=0.1 (L ~ 2.504), so a budget of 2.505 needs
+        # a temperature the solver cannot evaluate, while 2.7 does not
+        nu0 = as_marginal([0.5, 0.5, 0, 0, 0, 0, 0, 0, 0], 9)
+        nuN = as_marginal([0, 0, 0, 0, 0, 0, 0, 0.5, 0.5], 9)
+        cfg = SolverConfig(max_iter=300)
         with pytest.raises(ConvergenceError, match="lowest at which"):
-            calibrate_temperature(g, delta(40, 1), delta(40, 2), 8, 12.383)
+            calibrate_temperature(g9, nu0, nuN, 3, 2.505, config=cfg)
+        res = calibrate_temperature(g9, nu0, nuN, 3, 2.7, config=cfg)
+        assert res.bounds is None and not res.at_bound
+        assert abs(expected_length_at(g9, nu0, nuN, 3, res.temperature) - 2.7) <= 1e-8
 
     def test_invalid_budget(self, g9):
         with pytest.raises(ValueError):
@@ -126,6 +152,19 @@ class TestVariance:
         by_enum = sum(w * (l - mean) ** 2 for w, l in weighted)
         assert length_variance(sol, g9) == pytest.approx(by_enum, abs=1e-12)
         assert by_enum > 0.0
+
+    def test_centered_variance_keeps_precision_when_cold(self, g9_long79):
+        # Var falls like exp(-1/T) here, far below eps * E[L^2] ~ 2e-15
+        cond_T = {0.1: 2.27e-5, 0.05: 1.031e-9, 0.03: 1.669e-15, 0.02: 9.64e-23}
+        for T, pinned in cond_T.items():
+            cond = conditioned_boltzmann(g9_long79, T, 3, 1, 9)
+            lengths = {p: path_length(g9_long79, p) for p in cond.masses}
+            mean = sum(m * lengths[p] for p, m in cond.masses.items())
+            want = sum(m * (lengths[p] - mean) ** 2 for p, m in cond.masses.items())
+            sol = solve_schrodinger(boltzmann_prior(g9_long79, T, 3),
+                                    delta(9, 1), delta(9, 9))
+            assert length_variance(sol, g9_long79) == pytest.approx(want, rel=1e-6, abs=0)
+            assert want == pytest.approx(pinned, rel=1e-3, abs=0)
 
     def test_derivative_identity(self, g9):
         # dE/dT equals Var/T^2; central difference at T=1
@@ -189,3 +228,16 @@ class TestTransportLimit:
         approx = omt_approximation(g9_long79, delta(9, 1), delta(9, 9), 3)
         assert set(approx.minimal_paths) == {(1, 3, 8, 9), (1, 4, 8, 9)}
         assert approx.minimal_mass >= 0.999
+
+    def test_cold_limit_puts_all_mass_on_minimal_paths(self, g9, g9_long79):
+        for g, N in ((g9, 4), (g9_long79, 3), (g9_long79, 4)):
+            for T in (1e-3, 1e-6):
+                approx = omt_approximation(g, delta(9, 1), delta(9, 9), N, T_small=T)
+                assert approx.minimal_mass >= 1.0 - 1e-9
+
+    def test_hot_limit_is_the_family_mean(self, g9, g9_long79):
+        # the plain mean over the family is calibrate's upper bound
+        for g, N in ((g9, 4), (g9_long79, 3), (g9_long79, 4)):
+            mean = calibrate_temperature(g, delta(9, 1), delta(9, 9), N, 100.0).bounds[1]
+            L = expected_length_at(g, delta(9, 1), delta(9, 9), N, 1e6)
+            assert abs(L - mean) <= 1e-5

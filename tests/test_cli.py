@@ -36,6 +36,25 @@ def parse_measure(doc):
                         for k, v in doc["path_masses"].items()})
 
 
+def assert_self_consistent(doc, g):
+    """Recomputing L, S and F from a flow document reproduces its values."""
+    # enumeration route: from the emitted path masses
+    if doc["path_masses"] is not None:
+        m = parse_measure(doc)
+        assert abs(average_path_length(m, g) - doc["average_length"]) <= 1e-12
+        assert abs(entropy(m) - doc["entropy"]) <= 1e-12
+    # chain route: from the emitted flow and the per-edge transitions on
+    # the emitted edge list
+    sol = BridgeSolution(edges=doc_edges(doc),
+                         transitions=np.array(doc["transitions"]),
+                         marginals=np.array(doc["marginal_flow"]),
+                         iterations=1, residual=0.0)
+    assert abs(average_path_length(sol, g) - doc["average_length"]) <= 1e-12
+    assert abs(entropy(sol) - doc["entropy"]) <= 1e-12
+    F = doc["average_length"] - doc["temperature"] * doc["entropy"]
+    assert abs(F - doc["free_energy"]) <= 1e-12
+
+
 SOLVE_G9 = ("solve", "--graph", "g9", "--from-delta", "1",
             "--to-delta", "9", "-N", "4", "-T", "1")
 
@@ -59,21 +78,7 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["format"] == 2
         assert doc["edges"] == [[u, v] for u, v, _ in g9.edges]
-        # enumeration route: recompute L, S from the emitted path masses
-        m = parse_measure(doc)
-        assert abs(average_path_length(m, g9) - doc["average_length"]) <= 1e-12
-        assert abs(entropy(m) - doc["entropy"]) <= 1e-12
-        # chain route: recompute from the emitted flow and the per-edge
-        # transitions on the emitted edge list
-        flow = np.array(doc["marginal_flow"])
-        sol = BridgeSolution(edges=doc_edges(doc),
-                             phi=np.ones_like(flow), phi_hat=np.ones_like(flow),
-                             transitions=np.array(doc["transitions"]), marginals=flow,
-                             iterations=1, residual=0.0)
-        assert abs(average_path_length(sol, g9) - doc["average_length"]) <= 1e-12
-        assert abs(entropy(sol) - doc["entropy"]) <= 1e-12
-        F = doc["average_length"] - doc["temperature"] * doc["entropy"]
-        assert abs(F - doc["free_energy"]) <= 1e-12
+        assert_self_consistent(doc, g9)
 
     @settings(max_examples=40)
     @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(1, 4),
@@ -200,23 +205,35 @@ class TestExitCodes:
         assert code == 2
         assert "infeasible" in err
 
-    def test_feasible_pair_too_cold_is_exit_three(self, capsys):
-        # 1-2-7-9-9 is a 4-step route; its weight exp(-3/0.002) underflows
-        code, _, err = run(capsys, "solve", "--graph", "g9", "--from-delta", "1",
+    def test_cold_feasible_pair_solves(self, capsys, g9):
+        # every route weight exp(-l/0.002) underflows in linear arithmetic
+        code, out, _ = run(capsys, "solve", "--graph", "g9", "--from-delta", "1",
                            "--to-delta", "9", "-N", "4", "-T", "0.002")
-        assert code == 3
-        assert "temperature is too low" in err
+        assert code == 0
+        doc = json.loads(out)
+        assert_self_consistent(doc, g9)
+        assert abs(doc["average_length"] - 3.0) <= 1e-9
+        minimal = {"1-2-7-9-9", "1-3-8-9-9", "1-4-8-9-9"}
+        for key, m in doc["path_masses"].items():
+            # a length-4 route carries exp(-1/0.002) / 3 ~ 2.4e-218
+            want = 1 / 3 if key in minimal else np.exp(-500.0) / 3
+            assert m == pytest.approx(want, rel=1e-9, abs=0)
 
-    def test_overflowing_potential_writes_no_document(self, tmp_path, capsys):
+    def test_cold_g200_writes_a_consistent_document(self, tmp_path, capsys):
+        g = random_graph(np.random.default_rng(1), 200, 0.04)
         graph = tmp_path / "g200.json"
-        graph.write_text(dump_graph(random_graph(np.random.default_rng(1), 200, 0.04)))
+        graph.write_text(dump_graph(g))
         out = tmp_path / "out.json"
-        code, _, err = run(capsys, "solve", "--graph", str(graph), "--from-delta", "1",
-                           "--to-delta", "2", "-N", "20", "-T", "0.005",
-                           "--output", str(out))
-        assert code == 3
-        assert "temperature is too low" in err
-        assert not out.exists()
+        code, _, _ = run(capsys, "solve", "--graph", str(graph), "--from-delta", "1",
+                         "--to-delta", "2", "-N", "20", "-T", "0.005",
+                         "--output", str(out))
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert_self_consistent(doc, g)
+        assert doc["residual"] <= 1e-12
+        flow = np.array(doc["marginal_flow"])
+        assert np.abs(flow.sum(axis=1) - 1.0).max() <= 1e-9
+        assert flow[0, 0] == 1.0 and abs(flow[20, 1] - 1.0) <= 1e-9
 
     def test_conflicting_marginal_flags(self, capsys):
         code, _, err = run(capsys, "solve", "--graph", "g9", "--from-delta", "1",

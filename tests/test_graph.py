@@ -70,6 +70,20 @@ class TestConstruction:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValueError, match="duplicate"):
             DirectedGraph(3, ((1, 2, 1.0), (1, 2, 2.0)))
+        # the later copy is named, however the sort places the pairs
+        with pytest.raises(GraphFormatError,
+                           match=r"^edges\[3\]: duplicate edge \(2, 1\)$"):
+            DirectedGraph(3, ((2, 1, 1.0), (1, 2, 1.0), (3, 3, 0.5), (2, 1, 2.0),
+                              (1, 2, 2.0)))
+
+    def test_rejects_node_ids_no_array_holds(self):
+        with pytest.raises(GraphFormatError, match="edges\\[1\\]: node out of range"):
+            DirectedGraph(3, ((1, 2, 1.0), (1, 10 ** 30, 1.0)))
+
+    def test_rejects_non_finite_length(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(GraphFormatError, match="edges\\[2\\]: length must be finite"):
+                DirectedGraph(3, ((1, 2, 1.0), (2, 3, 1.0), (3, 1, bad)))
 
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError, match="edges\\[1\\]"):
@@ -241,6 +255,28 @@ class TestStepRoutines:
         for j in range(1, n + 1):
             column = step_reach(edges, rows, np.arange(1, n + 1) == j)[0]
             assert (column == want[:, j - 1]).all()
+
+    @settings(max_examples=100)
+    @given(step_supports(), st.data())
+    def test_segment_reductions_match_scatter(self, case, data):
+        # logsumexp over each node's out- or in-edges against np.logaddexp.at,
+        # and a min over out-edges against np.minimum.at, with -inf entries
+        # and nodes that have no such edge
+        edges, _, _ = case
+        vals = np.array(data.draw(st.lists(st.none() | st.floats(-800.0, 800.0),
+                                           min_size=edges.E, max_size=edges.E)),
+                        dtype=float).reshape(edges.E)
+        vals = np.where(np.isnan(vals), -np.inf, vals)
+        for incoming, group in ((False, edges.src), (True, edges.dst)):
+            want = np.full(edges.n, -np.inf)
+            np.logaddexp.at(want, group, vals)
+            got = edges.logsumexp(vals, incoming)
+            assert np.array_equal(np.isfinite(got), np.isfinite(want))
+            finite = np.isfinite(want)
+            assert np.allclose(got[finite], want[finite], rtol=1e-13, atol=1e-12)
+        low = np.full(edges.n, np.inf)
+        np.minimum.at(low, edges.src, vals)
+        assert np.array_equal(edges.reduce(np.minimum, vals, np.inf), low)
 
     def test_reach_counts_do_not_wrap(self):
         # K_257 without self-loops: every node has 256 in-neighbours, which

@@ -86,8 +86,7 @@ class TestPriorChain:
 
     def test_scale_annotations_change_true_mass(self, g9):
         base = boltzmann_prior(g9, 1.0, 2)
-        shifted = PriorChain(base.edges, base.weights, base.mu0,
-                             log_scales=tuple(s + 1.0 for s in base.log_scales))
+        shifted = PriorChain(base.edges, base.log_weights + 1.0, base.mu0)
         p = (1, 2, 7)
         assert chain_path_mass(shifted, p) == \
             pytest.approx(chain_path_mass(base, p) * math.e ** 2, rel=1e-12)
