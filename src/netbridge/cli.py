@@ -10,12 +10,18 @@ runs with the same configuration produce byte-identical output.  JSON has
 no literals for non-finite numbers; they are emitted as the strings "inf",
 "-inf", "nan".
 
-The `solve` flow document ("format": 2) writes its transitions per graph
+Every JSON document has the same line layout: "{", then one sorted
+top-level key per line as "key":value with each value written compactly,
+then "}".  A value that is a list of lists puts each inner list on a line
+of its own, and a document that is a list (sweep's rows) puts each element
+on its own line.
+
+The `solve` flow document ("format": 3) writes its transitions per graph
 edge, exactly as the solver stores them: "edges" lists the [u, v] pairs in
-the graph's edge order and "transitions" holds N lists of E numbers, entry
-e of step t being Pi_t[u_e, v_e] (zeros on rows that carry no mass).  The
-bridge has no mass off the graph's edges, so placing each entry into an
-n x n zero matrix rebuilds Pi_t exactly.
+the graph's edge order and "transitions" holds N lists of E numbers, one
+list per line, entry e of step t being Pi_t[u_e, v_e] (zeros on rows that
+carry no mass).  The bridge has no mass off the graph's edges, so placing
+each entry into an n x n zero matrix rebuilds Pi_t exactly.
 """
 
 from __future__ import annotations
@@ -139,8 +145,35 @@ def _emit(text: str, output: str) -> None:
             raise _CliError(f"cannot write {output}: {exc}") from exc
 
 
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+def _lines(items, open_: str, close: str) -> str:
+    return open_ + "\n" + ",\n".join(items) + "\n" + close if items else open_ + close
+
+
+def _encode_value(value) -> str:
+    # a list of lists (transitions, flow rows, edge pairs) gets one inner
+    # list per line; any other value is one line
+    if isinstance(value, list) and value and all(isinstance(v, list) for v in value):
+        return _lines([_encode(v) for v in value], "[", "]")
+    return _encode(value)
+
+
 def _emit_json(doc, output: str) -> None:
-    _emit(json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n", output)
+    """Write `doc` in the line layout of every netbridge JSON document.
+
+    A dict has one sorted top-level key per line, a top-level list one
+    element per line; each value goes through the C encoder, which any
+    `indent` would turn off.
+    """
+    doc = _jsonify(doc)
+    if isinstance(doc, dict):
+        text = _lines([f"{_encode(k)}:{_encode_value(doc[k])}" for k in sorted(doc)],
+                      "{", "}")
+    else:
+        text = _lines([_encode(v) for v in doc], "[", "]")
+    _emit(text + "\n", output)
 
 
 def _csv_text(header, rows) -> str:
@@ -152,14 +185,43 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+# 10**k for k = 0..22: every one is an exact double
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+
+
 def _round_array(a: np.ndarray) -> np.ndarray:
-    # sig12 leaves zeros (and their sign) as they are, so only the support
-    # is rounded: the cost follows the nonzero count, not the array size.
+    """sig12 of every entry, bitwise, computed on whole arrays.
+
+    With k = 11 - floor(log10|x|), m = rint(x * 10**k) holds the 12 kept
+    digits.  Where 10**|k| is exact, the scaled value is off by at most half
+    an ulp (2**-14 below 1e12), so m is the correctly rounded digit string
+    unless the scaled value lies near a half-integer; and m / 10**k, one
+    correctly rounded operation on exact operands, is the double nearest
+    the decimal, as float(f"{x:.12g}") is.  Entries where |k| > 22, x is
+    not finite, m falls outside [1e11, 1e12) (an exponent off by one), or the
+    scaled value is within 2**-10 of a half-integer go through scalar sig12.
+    Zeros (and their sign) are left as they are, so only the support is
+    touched.
+    """
     # A C-ordered copy makes reshape(-1) a view, so writes reach `out`.
     out = np.array(a, dtype=float, order="C")
     flat = out.reshape(-1)
     nz = np.flatnonzero(flat)
-    flat[nz] = [sig12(v) for v in flat[nz].tolist()]
+    x = flat[nz]
+    ax = np.abs(x)
+    with np.errstate(invalid="ignore"):  # inf - inf where x is infinite
+        k = 11 - np.floor(np.log10(ax))
+        fast = np.abs(k) <= 22  # False where x is inf (k = -inf) or NaN
+        k = np.where(fast, k, 0).astype(np.int64)
+        p = _POW10[np.abs(k)]
+        up = k >= 0
+        y = np.where(up, ax * p, ax / p)
+        m = np.rint(y)
+        fast &= (m >= 1e11) & (m < 1e12) & (np.abs(y - np.floor(y) - 0.5) > 2.0 ** -10)
+        r = np.copysign(np.where(up, m / p, m * p), x)
+    flat[nz[fast]] = r[fast]
+    slow = nz[~fast]
+    flat[slow] = [sig12(v) for v in flat[slow].tolist()]
     return out
 
 
@@ -198,7 +260,7 @@ def _flow_doc(g: DirectedGraph, sol: BridgeSolution, T: float, bits: bool,
     L = average_path_length(rounded, g)
     S = entropy(rounded)
     doc = {
-        "format": 2,
+        "format": 3,
         "n": g.n,
         "horizon": sol.N,
         "temperature": sig12(T),
@@ -344,8 +406,7 @@ def cmd_solve(args) -> int:
         _emit_json(doc, args.output)
     else:
         header = ["t"] + [f"node{i}" for i in range(1, g.n + 1)]
-        rows = [[t] + [sig12(float(v)) for v in row]
-                for t, row in enumerate(sol.marginals)]
+        rows = [[t] + row for t, row in enumerate(_round_array(sol.marginals).tolist())]
         _emit(_csv_text(header, rows), args.output)
     return 0
 

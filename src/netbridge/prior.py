@@ -121,10 +121,21 @@ def check_temperature(T: float) -> float:
 
 
 def _log_boltzmann_weights(g: DirectedGraph, T: float) -> np.ndarray:
-    """Edge log weights -l_e / T in edge order."""
+    """Edge log weights -l_e / T in edge order.
+
+    A T so small that some -l_e / T overflows is an input error: the edge
+    would silently leave the support and a feasible instance would read as
+    infeasible.
+    """
     if not g.edges:
         raise InfeasibleError("graph has no edges")
-    return -g.lengths / T
+    with np.errstate(over="ignore"):
+        lw = -g.lengths / T
+    for e in np.flatnonzero(~np.isfinite(lw))[:1]:
+        u, v, length = g.edges[e]
+        raise ValueError(f"temperature {T:g} is too low for edge {u} -> {v} "
+                         f"(length {length:g}): -length/T overflows")
+    return lw
 
 
 def boltzmann_prior(g: DirectedGraph, T: float, N: int) -> PriorChain:

@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+import math
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from netbridge import BridgeSolution, DirectedGraph, EdgeIndex, PathMeasure, \
     average_path_length, boltzmann_prior, count_feasible_paths, delta_marginal, \
     dump_graph, entropy, g9_network, path_counts, solve_schrodinger
 from netbridge._numeric import sig12
-from netbridge.cli import _emit_json, _round_array, _rounded_solution, main
+import netbridge.cli as cli
+from netbridge.cli import _emit_json, _jsonify, _round_array, _rounded_solution, main
 from conftest import dense_steps, random_graph
 
 
@@ -25,7 +29,7 @@ def run(capsys, *argv):
 
 
 def doc_edges(doc):
-    """The edge index of a format-2 document's "edges"."""
+    """The edge index of a flow document's "edges"."""
     u, v = (np.array(doc["edges"], dtype=int).reshape(-1, 2) - 1).T
     return EdgeIndex(doc["n"], u, v)
 
@@ -76,7 +80,7 @@ class TestSolve:
     def test_round_trip_consistency(self, capsys, g9):
         _, out, _ = run(capsys, *SOLVE_G9)
         doc = json.loads(out)
-        assert doc["format"] == 2
+        assert doc["format"] == 3
         assert doc["edges"] == [[u, v] for u, v, _ in g9.edges]
         assert_self_consistent(doc, g9)
 
@@ -143,6 +147,19 @@ class TestSolve:
         assert float(rows[2][2]) == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert float(rows[4][9]) == 1.0
 
+    def test_csv_flow_bytes_pinned(self, capsys):
+        code, out, _ = run(capsys, *SOLVE_G9, "--format", "csv")
+        assert code == 0
+        assert out == (
+            "t,node1,node2,node3,node4,node5,node6,node7,node8,node9\n"
+            "0,1,0,0,0,0,0,0,0,0\n"
+            "1,0,0.470452860576,0.305909427885,0.223637711539,0,0,0,0,0\n"
+            "2,0,0,0.0822717163458,0.0822717163458,0.164543432692,0,"
+            "0.223637711539,0.447275423078,0\n"
+            "3,0,0,0,0,0,0.0822717163458,0.0822717163458,0.164543432692,"
+            "0.670913134617\n"
+            "4,0,0,0,0,0,0,0,0,1\n")
+
     def test_marginal_vector_spec(self, capsys):
         nu0 = json.dumps([0.5, 0.25, 0.25, 0, 0, 0, 0, 0, 0])
         code, out, _ = run(capsys, "solve", "--graph", "g9", "--from", nu0,
@@ -191,6 +208,179 @@ class TestSolve:
             doc["entropy"] / np.log(2.0), rel=1e-12)
 
 
+def sig12_each(a):
+    return np.vectorize(sig12, otypes=[float])(a)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _nudged(x, step):
+    """x, or its neighbouring double below (step -1) or above (step 1)."""
+    return float(np.nextafter(x, step * np.inf)) if step else x
+
+
+SIGNS = st.sampled_from([1.0, -1.0])
+# a 13-digit decimal ending in 5 lies halfway between two 12-digit ones
+NEAR_TIES = st.builds(lambda m, e, s: s * float(f"{m}5e{e}"),
+                      st.integers(10**11, 10**12 - 1), st.integers(-40, 40), SIGNS)
+POWERS_OF_TEN = st.builds(lambda j, step, s: s * _nudged(float(f"1e{j}"), step),
+                          st.integers(-323, 308), st.sampled_from([-1, 0, 1]), SIGNS)
+SPECIALS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+ANY_DOUBLE = st.floats(allow_subnormal=True)
+
+
+class TestRoundArray:
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(ANY_DOUBLE, SPECIALS, POWERS_OF_TEN, NEAR_TIES),
+                    min_size=1, max_size=60))
+    def test_matches_per_entry_sig12(self, xs):
+        a = np.array(xs)
+        assert_bitwise_equal(_round_array(a), sig12_each(a))
+
+    @given(st.lists(st.one_of(
+        NEAR_TIES,
+        st.floats(-1e-12, 1e-12),            # |k| > 22, subnormals included
+        st.floats(min_value=1e35), st.floats(max_value=-1e35),
+        st.sampled_from([math.inf, -math.inf, math.nan])), min_size=1, max_size=40))
+    def test_every_entry_falling_back(self, xs):
+        a = np.array(xs)
+        with mock.patch.object(cli, "sig12", side_effect=sig12) as scalar:
+            got = _round_array(a)
+        assert scalar.call_count == np.count_nonzero(a)
+        assert_bitwise_equal(got, sig12_each(a))
+
+    @given(st.lists(st.builds(lambda m, d, e, s: s * float(f"{m}{d:03d}e{e}"),
+                              st.integers(2 * 10**11, 9 * 10**11),
+                              st.integers(0, 999).filter(lambda d: abs(d - 500) > 5),
+                              st.integers(-20, 15), SIGNS),
+                    min_size=1, max_size=40))
+    def test_vectorized_path_needs_no_scalar_call(self, xs):
+        # 12 kept digits, then three more well away from ...500: no entry
+        # is out of range or near a tie, so none falls back
+        a = np.array(xs)
+        with mock.patch.object(cli, "sig12", side_effect=sig12) as scalar:
+            got = _round_array(a)
+        assert scalar.call_count == 0
+        assert_bitwise_equal(got, sig12_each(a))
+
+
+SWEEP_G9 = ("sweep", "--graph", "g9", "--from-delta", "1", "--to-delta", "9",
+            "-N", "4", "--T-grid", "0.1,1,100", "--track-all", "--format", "json")
+CALIBRATE_G9 = ("calibrate", "--graph", "g9", "--from-delta", "1",
+                "--to-delta", "9", "-N", "4", "--L-bar", "3.5")
+VERIFY_G9 = ("verify", "--graph", "g9", "--from-delta", "1", "--to-delta", "9",
+             "-N", "3", "-T", "1", "--pairs", "2", "--format", "json")
+JSON_COMMANDS = {
+    "solve": SOLVE_G9,
+    "sweep": SWEEP_G9,
+    "calibrate": CALIBRATE_G9,
+    "verify": VERIFY_G9,
+    "oracle": ("oracle", "--graph", "g9", "--from-delta", "1", "--to-delta", "9",
+               "-N", "4", "-T", "1"),
+    "paths": ("paths", "--graph", "g9", "-N", "4", "--source", "1", "--target", "9"),
+    "metrics": ("metrics", "--graph", "g9"),
+}
+
+
+def parse_layout(text):
+    """Rebuild a document line by line, insisting on the format-3 layout."""
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    if lines[0] == "[":
+        assert lines[-1] == "]"
+        return [json.loads(line.removesuffix(",")) for line in lines[1:-1]]
+    assert lines[0] == "{" and lines[-1] == "}"
+    doc, rows = {}, None
+    for line in lines[1:-1]:
+        if rows is not None:  # inside a list of lists, one inner list a line
+            if line in ("]", "],"):
+                rows = None
+            else:
+                rows.append(json.loads(line.removesuffix(",")))
+            continue
+        key, value = line.split(":", 1)
+        if value == "[":
+            rows = doc[json.loads(key)] = []
+        else:
+            doc[json.loads(key)] = json.loads(value.removesuffix(","))
+    assert rows is None
+    return doc
+
+
+class TestFormat3:
+    @pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
+    def test_one_key_or_row_per_line(self, name, capsys):
+        code, out, _ = run(capsys, *JSON_COMMANDS[name])
+        assert code == 0
+        doc = json.loads(out)
+        assert parse_layout(out) == doc
+        if isinstance(doc, dict):
+            keys = [json.loads(line.split(":", 1)[0]) for line in out.split("\n")
+                    if line.startswith('"')]
+            assert keys == sorted(doc)
+
+    def test_one_line_per_transitions_row(self, capsys):
+        code, out, _ = run(capsys, *SOLVE_G9)
+        doc = json.loads(out)
+        assert doc["format"] == 3
+        lines = out.split("\n")
+        first = lines.index('"transitions":[') + 1
+        N, E = doc["horizon"], len(doc["edges"])
+        assert lines[first + N] in ("]", "],")
+        for line in lines[first:first + N]:
+            assert len(json.loads(line.removesuffix(","))) == E
+
+    @pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
+    def test_content_equals_the_indented_encoding(self, name, capsys, monkeypatch):
+        # the format-2 writer was json.dumps(_jsonify(doc), indent=2,
+        # sort_keys=True); the layout changed, the parsed content did not
+        docs = []
+        emit = cli._emit_json
+
+        def recording(doc, output):
+            docs.append(doc)
+            emit(doc, output)
+
+        monkeypatch.setattr(cli, "_emit_json", recording)
+        code, out, _ = run(capsys, *JSON_COMMANDS[name])
+        assert code == 0 and len(docs) == 1
+        indented = json.dumps(_jsonify(docs[0]), indent=2, sort_keys=True)
+        assert json.loads(out) == json.loads(indented)
+
+    @pytest.mark.parametrize("argv", [SWEEP_G9, CALIBRATE_G9, VERIFY_G9],
+                             ids=["sweep", "calibrate", "verify"])
+    def test_reruns_byte_identical(self, argv, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(capsys, *argv, "--output", str(a))[0] == 0
+        assert run(capsys, *argv, "--output", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_sweep_rows_spell_nan(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--graph", "g9", "--from-delta", "1",
+                           "--to-delta", "6", "-N", "2", "--T-grid", "0.5,1",
+                           "--format", "json")
+        assert code == 0
+        rows = parse_layout(out)
+        assert [(r["L"], r["S"], r["Var"]) for r in rows] == [("nan",) * 3] * 2
+        assert all(r["error"] for r in rows)
+
+    @pytest.mark.parametrize("doc, text", [
+        ({}, "{}\n"),
+        ([], "[]\n"),
+        ({"b": [], "a": {"y": 1, "x": [[1]]}}, '{\n"a":{"x":[[1]],"y":1},\n"b":[]\n}\n'),
+        ({"m": np.zeros((2, 0))}, '{\n"m":[\n[],\n[]\n]\n}\n'),
+        ({"v": [[1], 2]}, '{\n"v":[[1],2]\n}\n'),
+        ([{"a": np.inf}, None], '[\n{"a":"inf"},\nnull\n]\n'),
+    ])
+    def test_emit_json_layout(self, doc, text, tmp_path):
+        path = tmp_path / "doc.json"
+        _emit_json(doc, str(path))
+        assert path.read_text() == text
+
+
 class TestExitCodes:
     def test_missing_graph_file(self, capsys):
         code, _, err = run(capsys, "solve", "--graph", "/no/such/file.json",
@@ -234,6 +424,17 @@ class TestExitCodes:
         flow = np.array(doc["marginal_flow"])
         assert np.abs(flow.sum(axis=1) - 1.0).max() <= 1e-9
         assert flow[0, 0] == 1.0 and abs(flow[20, 1] - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_overflowing_temperature_is_an_input_error(self, capsys, command):
+        # -length/T overflows at T=1e-310; that is no proof of infeasibility
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, "--graph", "g9", "--from-delta", "1",
+                                 "--to-delta", "9", "-N", "4", "-T", "1e-310")
+        assert code == 1 and out == ""
+        assert "edge 1 -> 2" in err and "overflows" in err
+        assert "infeasible" not in err
 
     def test_conflicting_marginal_flags(self, capsys):
         code, _, err = run(capsys, "solve", "--graph", "g9", "--from-delta", "1",

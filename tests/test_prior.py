@@ -1,6 +1,7 @@
 """Boltzmann priors, Perron triples, and the entropy-maximizing walk."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ class TestPriorChain:
         for T in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 boltzmann_prior(g9, T, 2)
+
+    def test_overflowing_log_weight_is_a_located_error(self, g9):
+        # -1/1e-310 is not representable: an input error naming the first
+        # such edge, with no overflow warning and no claim of infeasibility
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (boltzmann_prior, partition_function):
+                with pytest.raises(ValueError, match=r"edge 1 -> 2 \(length 1\)"):
+                    build(g9, 1e-310, 4)
+            with pytest.raises(ValueError, match="overflows"):
+                ruelle_bowen_chain(g9, 1e-310, 4)
+            # zero lengths stay finite at any temperature
+            flat = DirectedGraph(2, ((1, 2, 0.0), (2, 2, 0.0)))
+            assert np.all(boltzmann_prior(flat, 1e-310, 2).log_weights == 0.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
