@@ -26,6 +26,8 @@ from .graph import PATH_CAP, DirectedGraph, EdgeIndex, Path, \
     enumerate_feasible_paths, require_routes, step_paths, step_reach
 from .prior import PriorChain, chain_path_mass
 
+ARGMAX_REL_TOL = 1e-9  # paths within this share of the top mass tie for it
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -220,9 +222,8 @@ def support_paths(prior: PriorChain, source: int | None = None,
     return step_paths(prior.edges, prior.support, source, target, cap)
 
 
-def most_probable_paths(g: DirectedGraph, measure, source: int, target: int,
-                        rel_tol: float = 1e-9) -> list[Path]:
-    """Paths from source to target whose mass is within (1 - rel_tol) of the maximum.
+def most_probable_paths(g: DirectedGraph, measure, source: int, target: int) -> list[Path]:
+    """Paths from source to target whose mass is within (1 - ARGMAX_REL_TOL) of the top.
 
     `measure` may be a BridgeSolution, a PriorChain, or anything with a
     `masses` mapping (a path measure).  Returns the argmax set in
@@ -245,7 +246,7 @@ def most_probable_paths(g: DirectedGraph, measure, source: int, target: int,
     top = max(masses.values())
     if top == 0.0:
         return []
-    return [p for p in sorted(masses) if masses[p] >= (1.0 - rel_tol) * top]
+    return [p for p in sorted(masses) if masses[p] >= (1.0 - ARGMAX_REL_TOL) * top]
 
 
 def iterated_bridge_check(prior: PriorChain, first, second,

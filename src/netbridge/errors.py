@@ -33,9 +33,5 @@ class ConvergenceError(NetbridgeError):
         self.iterations = iterations
 
 
-class PrimitivityError(NetbridgeError):
-    """A matrix failed the strict primitivity check."""
-
-
 class EnumerationCapError(NetbridgeError):
     """Path enumeration would exceed the configured cap."""

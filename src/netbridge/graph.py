@@ -3,7 +3,8 @@
 Nodes are numbered 1..n in documents and in path tuples; index arrays are
 0-based internally.  Per-step quantities (prior weights, transition
 probabilities, supports) are (N, E) arrays over an EdgeIndex, one column
-per edge.  An absent edge has infinite length, which is always computed on
+per edge.  Edge lookups go through EdgeIndex.find and out_edges; no n x n
+array is built.  An absent edge has infinite length, which is computed on
 demand and never stored.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -153,33 +153,6 @@ class DirectedGraph:
         ids = self.edge_index.find(edges.src, edges.dst)
         return np.where(ids >= 0, self.lengths[ids], np.inf)
 
-    @cached_property
-    def length_matrix(self) -> np.ndarray:
-        """n x n matrix of edge lengths, +inf where there is no edge."""
-        L = np.full((self.n, self.n), np.inf)
-        L[self.edge_index.src, self.edge_index.dst] = self.lengths
-        return L
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Boolean n x n edge-presence matrix."""
-        return np.isfinite(self.length_matrix)
-
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """successors[u-1] is the sorted tuple of targets of edges out of u."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            out[u - 1].append(v)
-        return tuple(tuple(sorted(vs)) for vs in out)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return np.isfinite(self.length_matrix[u - 1, v - 1])
-
-    def edge_length(self, u: int, v: int) -> float:
-        """Length of edge u -> v; +inf when the edge is absent."""
-        return float(self.length_matrix[u - 1, v - 1])
-
 
 def load_graph(text: str) -> DirectedGraph:
     """Parse a graph document.
@@ -243,11 +216,13 @@ def path_length(g: DirectedGraph, p: Sequence[int]) -> float:
     for x in p:
         if not (1 <= x <= g.n):
             raise ValueError(f"node {x} out of range 1..{g.n}")
+    ids = g.edge_index.find(np.array(p[:-1], dtype=np.intp) - 1,
+                            np.array(p[1:], dtype=np.intp) - 1)
+    if np.any(ids < 0):
+        return float("inf")
+    # in path order: np.sum (pairwise) and sum() (compensated) change the last bit
     total = 0.0
-    for a, b in zip(p[:-1], p[1:]):
-        w = g.length_matrix[a - 1, b - 1]
-        if not np.isfinite(w):
-            return float("inf")
+    for w in g.lengths[ids].tolist():
         total += w
     return total
 
@@ -382,21 +357,21 @@ def count_feasible_paths(g: DirectedGraph, N: int, source: int | None = None,
 
 def shortest_path_matrix(g: DirectedGraph) -> np.ndarray:
     """All-pairs directed distances d[i-1, j-1]; d_ii = 0, +inf when unreachable."""
-    n = g.n
-    L = g.length_matrix
-    succ = g.successors
+    n, edges = g.n, g.edge_index
+    dst, lengths = edges.dst.tolist(), g.lengths.tolist()
+    # (target, length) per node, by ascending target
+    succ = [[(dst[e], lengths[e]) for e in edges.out_edges(u).tolist()] for u in range(n)]
     D = np.full((n, n), np.inf)
     for s in range(n):
-        dist = np.full(n, np.inf)
+        dist = [float("inf")] * n
         dist[s] = 0.0
         heap = [(0.0, s)]
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
-            for v1 in succ[u]:
-                v = v1 - 1
-                nd = d + L[u, v]
+            for v, w in succ[u]:
+                nd = d + w
                 if nd < dist[v]:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))

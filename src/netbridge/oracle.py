@@ -59,7 +59,6 @@ def endpoint_kernel(prior: PriorChain, cap: int = PATH_CAP) -> EndpointKernel:
 
 
 def oracle_bridge(prior: PriorChain, g: DirectedGraph, nu0, nuN,
-                  tol: float = ORACLE_TOL, max_sweeps: int = ORACLE_MAX_SWEEPS,
                   cap: int = PATH_CAP) -> PathMeasure:
     """Solve the two-marginal problem by scaling the endpoint kernel.
 
@@ -82,19 +81,19 @@ def oracle_bridge(prior: PriorChain, g: DirectedGraph, nu0, nuN,
     require_routes(G[np.ix_(supp0, suppN)] > 0.0, supp0, suppN, prior.N)
     a = np.zeros(n)
     b = np.where(suppN, 1.0, 0.0)
-    for _ in range(max_sweeps):
+    for _ in range(ORACLE_MAX_SWEEPS):
         Gb = G @ b
         a = np.where(supp0, nu0 / np.where(supp0, Gb, 1.0), 0.0)
         Ga = G.T @ a
         b = np.where(suppN, nuN / np.where(suppN, Ga, 1.0), 0.0)
         row_err = float(np.abs(a * (G @ b) - nu0).max())
         col_err = float(np.abs(b * (G.T @ a) - nuN).max())
-        if max(row_err, col_err) <= tol:
+        if max(row_err, col_err) <= ORACLE_TOL:
             break
     else:
         raise ConvergenceError(
-            f"kernel scaling did not converge in {max_sweeps} sweeps",
-            residual=max(row_err, col_err), iterations=max_sweeps,
+            f"kernel scaling did not converge in {ORACLE_MAX_SWEEPS} sweeps",
+            residual=max(row_err, col_err), iterations=ORACLE_MAX_SWEEPS,
         )
     masses: dict[Path, float] = {}
     for p in step_paths(prior.edges, prior.support, cap=cap):

@@ -5,9 +5,10 @@ distribution and one log weight per edge and step, stored as an (N, E)
 array over an EdgeIndex; a time-homogeneous chain stores its one row once
 and broadcasts it over the steps.  Log weights keep every magnitude
 representable at any temperature (a Boltzmann weight is just -length/T),
-and -inf marks exactly the edges outside a step's support.  Dense n x n
-matrices appear only at the boundary: PriorChain.from_matrices,
-PriorChain.matrix and the power iteration in perron.
+and -inf marks exactly the edges outside a step's support.  The Perron
+power iteration runs on linear edge weights with bincount products.  Dense
+n x n matrices appear only at the boundary: PriorChain.from_matrices and
+PriorChain.matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ._numeric import hilbert_distance, logsumexp
-from .errors import ConvergenceError, InfeasibleError, PrimitivityError
+from .errors import ConvergenceError, InfeasibleError
 from .graph import DirectedGraph, EdgeIndex
 
 PERRON_TOL = 1e-12
@@ -106,7 +107,6 @@ class PerronTriple:
     u: np.ndarray
     v: np.ndarray
     iterations: int = 0
-    primitive: bool | None = None
 
     def __post_init__(self):
         if not (self.lam > 0):
@@ -201,67 +201,41 @@ def partition_function(g: DirectedGraph, T: float, N: int) -> float:
     return float(np.exp(log_z))
 
 
-def _primitivity_witness(B: np.ndarray) -> tuple[bool, tuple[int, int, int] | None]:
-    """Check whether some power of B is entrywise positive.
+def perron(edges: EdgeIndex, weights) -> PerronTriple:
+    """Dominant eigenvalue and eigenvectors of B, where B[src[e], dst[e]] is
+    the linear weight weights[e] of each edge of `edges` and 0 off them.
 
-    Returns (True, None) if primitive, else (False, (i, j, k)) where entry
-    (i, j) of B^k is zero at a power k at or beyond the Wielandt bound
-    n^2 - 2n + 2.
+    Iterates B and its transpose (bincount products over the edges) with
+    sup-norm normalization until the Hilbert projective distance between
+    successive iterates is below PERRON_TOL and the eigen-residuals satisfy
+    ||Bv - lam v||_inf <= PERRON_TOL * lam * ||v||_inf (symmetrically for u).
+    The returned vectors satisfy sum(u * v) = 1 with ||v||_1 = 1.
+
+    Reducible matrices are accepted as long as the iteration converges; the
+    left eigenvector may then contain zeros (graphs with an absorbing
+    component).  The iteration stays linear on purpose: on a node that
+    reaches no class of top spectral radius the iterate underflows to 0,
+    where log-domain entries would keep falling and never converge.
     """
-    n = B.shape[0]
-    bound = n * n - 2 * n + 2
-    P = B > 0
-    k = 1
-    while k < bound:
-        if P.all():
-            return True, None
-        # 0/1 products count walks, at most n per entry: exact in float64
-        P = (P.astype(float) @ P.astype(float)) > 0
-        k *= 2
-    if P.all():
-        return True, None
-    i, j = np.argwhere(~P)[0]
-    return False, (int(i) + 1, int(j) + 1, k)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (edges.E,) or np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValueError(f"weights must be {edges.E} nonnegative finite edge weights")
+    n, src, dst = edges.n, edges.src, edges.dst
 
+    def right(x):  # B @ x
+        return np.bincount(src, w * x[dst], minlength=n)
 
-def perron(B, tol: float = PERRON_TOL, max_iter: int = PERRON_MAX_ITER,
-           require_primitive: bool = False) -> PerronTriple:
-    """Dominant eigenvalue and positive eigenvectors by power iteration.
+    def left(x):  # B.T @ x
+        return np.bincount(dst, w * x[src], minlength=n)
 
-    Iterates B and its transpose with sup-norm normalization until the
-    Hilbert projective distance between successive iterates is below `tol`
-    and the eigen-residuals satisfy ||Bv - lam v||_inf <= tol * lam * ||v||_inf
-    (symmetrically for u).  The returned vectors satisfy sum(u * v) = 1 with
-    ||v||_1 = 1.
-
-    With require_primitive=True a Wielandt-bound check runs first and a
-    non-primitive matrix is rejected, naming a zero entry of the tested
-    power.  By default reducible matrices are accepted as long as the
-    iteration converges with a strictly positive right eigenvector; the left
-    eigenvector may then contain zeros (graphs with an absorbing component).
-    """
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError(f"B must be square, got shape {B.shape}")
-    if np.any(B < 0) or not np.all(np.isfinite(B)):
-        raise ValueError("B must be entrywise nonnegative and finite")
-    n = B.shape[0]
-    primitive, witness = _primitivity_witness(B)
-    if require_primitive and not primitive:
-        i, j, k = witness
-        raise PrimitivityError(
-            f"matrix is not primitive: entry ({i}, {j}) of B^{k} is zero"
-        )
-
-    Bt = B.T
     v = np.ones(n)
     u = np.ones(n)
     lam = 0.0
     res_u = res_v = float("inf")
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        Bv = B @ v
-        Btu = Bt @ u
+    for iterations in range(1, PERRON_MAX_ITER + 1):
+        Bv = right(v)
+        Btu = left(u)
         nv = Bv.max()
         nu = Btu.max()
         if nv <= 0.0 or nu <= 0.0:
@@ -274,7 +248,7 @@ def perron(B, tol: float = PERRON_TOL, max_iter: int = PERRON_MAX_ITER,
         dv = hilbert_distance(v_new, v)
         du = hilbert_distance(u_new, u)
         v, u = v_new, u_new
-        if dv <= tol and du <= tol:
+        if dv <= PERRON_TOL and du <= PERRON_TOL:
             denom = float(u @ v)
             if denom <= 0.0:
                 raise ConvergenceError(
@@ -282,35 +256,35 @@ def perron(B, tol: float = PERRON_TOL, max_iter: int = PERRON_MAX_ITER,
                     "dominant eigenspace is degenerate",
                     iterations=iterations,
                 )
-            lam = float(u @ (B @ v)) / denom
-            res_v = float(np.abs(B @ v - lam * v).max())
-            res_u = float(np.abs(Bt @ u - lam * u).max())
-            bound_v = tol * lam * float(np.abs(v).max())
-            bound_u = tol * lam * float(np.abs(u).max())
+            lam = float(u @ right(v)) / denom
+            res_v = float(np.abs(right(v) - lam * v).max())
+            res_u = float(np.abs(left(u) - lam * u).max())
+            bound_v = PERRON_TOL * lam * float(np.abs(v).max())
+            bound_u = PERRON_TOL * lam * float(np.abs(u).max())
             if res_v <= bound_v and res_u <= bound_u:
                 break
     else:
         raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations",
-            residual=max(res_u, res_v), iterations=max_iter,
+            f"power iteration did not converge in {PERRON_MAX_ITER} iterations",
+            residual=max(res_u, res_v), iterations=PERRON_MAX_ITER,
         )
 
     # polish: keep iterating while the residuals still improve, so downstream
     # stochastic-matrix constructions inherit near-machine accuracy
     for _ in range(1000):
         improved = False
-        v_try = B @ v
+        v_try = right(v)
         m = v_try.max()
         if m > 0:
             v_try /= m
-            r = float(np.abs(B @ v_try - lam * v_try).max())
+            r = float(np.abs(right(v_try) - lam * v_try).max())
             if r < res_v:
                 v, res_v, improved = v_try, r, True
-        u_try = Bt @ u
+        u_try = left(u)
         m = u_try.max()
         if m > 0:
             u_try /= m
-            r = float(np.abs(Bt @ u_try - lam * u_try).max())
+            r = float(np.abs(left(u_try) - lam * u_try).max())
             if r < res_u:
                 u, res_u, improved = u_try, r, True
         if not improved:
@@ -318,16 +292,15 @@ def perron(B, tol: float = PERRON_TOL, max_iter: int = PERRON_MAX_ITER,
     denom = float(u @ v)
     if denom <= 0.0:
         raise ConvergenceError("dominant eigenspace is degenerate", iterations=iterations)
-    lam = float(u @ (B @ v)) / denom
+    lam = float(u @ right(v)) / denom
     if lam <= 0.0:
         raise ConvergenceError("dominant eigenvalue is not positive", iterations=iterations)
     v = v / v.sum()
     u = u / float(u @ v)
-    return PerronTriple(lam=lam, u=u, v=v, iterations=iterations, primitive=primitive)
+    return PerronTriple(lam=lam, u=u, v=v, iterations=iterations)
 
 
-def ruelle_bowen_chain(g: DirectedGraph, T: float, N: int,
-                       tol: float = PERRON_TOL) -> PriorChain:
+def ruelle_bowen_chain(g: DirectedGraph, T: float, N: int) -> PriorChain:
     """Stationary chain assigning equal mass to equal-length paths.
 
     Conjugates the edge-weight matrix B = [exp(-l_ij/T)] by its right Perron
@@ -338,17 +311,14 @@ def ruelle_bowen_chain(g: DirectedGraph, T: float, N: int,
     check_temperature(T)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    for i, succ in enumerate(g.successors):
-        if not succ:
-            raise InfeasibleError(f"node {i + 1} has no outgoing edges")
-    lw = _log_boltzmann_weights(g, T)
     edges = g.edge_index
+    for i in np.flatnonzero(np.diff(edges.starts) == 0)[:1]:
+        raise InfeasibleError(f"node {i + 1} has no outgoing edges")
+    lw = _log_boltzmann_weights(g, T)
     # the power iteration needs linear weights; a constant shift of the log
     # weights scales B, which the conjugation cancels
     shift = lw.max()
-    B = np.zeros((g.n, g.n))
-    B[edges.src, edges.dst] = np.exp(lw - shift)
-    trip = perron(B, tol=tol)
+    trip = perron(edges, np.exp(lw - shift))
     if np.any(trip.v <= 0):
         i = int(np.argmin(trip.v)) + 1
         raise InfeasibleError(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from netbridge import DirectedGraph, g9_network
+from netbridge import DirectedGraph, EdgeIndex, g9_network
 
 # Property tests draw the same examples on every run, so the suite's verdict
 # does not depend on the run.
@@ -38,6 +38,13 @@ def random_graph(rng, n, p_edge=0.4, max_len=3.0):
         for j in out:
             edges.append((i, j, float(np.round(rng.uniform(0.1, max_len), 3))))
     return DirectedGraph(n, tuple(edges))
+
+
+def edge_weights(B):
+    """(EdgeIndex, weights) holding the nonzero entries of a dense matrix."""
+    B = np.asarray(B, dtype=float)
+    src, dst = np.nonzero(B)
+    return EdgeIndex(B.shape[0], src, dst), B[src, dst]
 
 
 def dense_steps(edges, rows):

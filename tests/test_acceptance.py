@@ -41,6 +41,7 @@ from netbridge import (
     total_variation,
     verify_equal_length_masses,
 )
+from conftest import edge_weights
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -364,20 +365,19 @@ def test_nonminimal_mass_is_bounded_by_boltzmann_factor(g9, g9_long79):
 
 
 def test_perron_triples_support_the_entropy_walk(g9):
-    L = g9.length_matrix
-    B = np.where(np.isfinite(L), np.exp(np.where(np.isfinite(L), -L, 0.0)), 0.0)
+    B = boltzmann_prior(g9, 1.0, 1).matrix(0)
     fib = np.array([[1.0, 1.0], [1.0, 0.0]])
     golden = (1.0 + math.sqrt(5.0)) / 2.0
 
     worst_res = 0.0
     for M in (B, fib):
-        t = perron(M)
+        t = perron(*edge_weights(M))
         worst_res = max(
             worst_res,
             float(np.abs(M @ t.v - t.lam * t.v).max()) / t.lam,
             float(np.abs(t.u @ M - t.lam * t.u).max()) / t.lam,
         )
-    gap = abs(perron(fib).lam - golden)
+    gap = abs(perron(*edge_weights(fib)).lam - golden)
 
     chain = ruelle_bowen_chain(g9, 1.0, 4)
     row_dev = max(

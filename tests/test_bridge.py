@@ -30,8 +30,10 @@ from netbridge import (
     marginal_flow,
     measure_from_bridge,
     most_probable_paths,
+    path_length,
     path_probability,
     restriction_ratio_check,
+    ruelle_bowen_chain,
     solve_schrodinger,
     support_paths,
     total_variation,
@@ -380,9 +382,10 @@ class TestEdgeLayout:
         g = DirectedGraph(n, tuple(
             (u, int(v) + 1, float(w)) for u in range(1, n + 1)
             for v, w in zip(rng.choice(n, 5, replace=False), rng.uniform(0.1, 3.0, 5))))
+        e = g.edge_index
         walk = [1]
         for _ in range(N):
-            walk.append(int(rng.choice(g.successors[walk[-1] - 1])))
+            walk.append(int(rng.choice(e.dst[e.out_edges(walk[-1] - 1)] + 1)))
         tracemalloc.start()
         try:
             sol = solve_schrodinger(boltzmann_prior(g, 1.0, N), delta(n, 1),
@@ -390,6 +393,8 @@ class TestEdgeLayout:
             average_path_length(sol, g)
             entropy(sol)
             length_variance(sol, g)
+            ruelle_bowen_chain(g, 1.0, N)
+            path_length(g, walk)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -557,17 +557,24 @@ class TestCalibrate:
 
 class TestSmallCommands:
     def test_paths_csv(self, capsys):
-        code, out, _ = run(capsys, "paths", "--graph", "g9", "-N", "3",
-                           "--source", "1", "--target", "9", "--format", "csv")
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[1:] == [["1-2-7-9", "3"], ["1-3-8-9", "3"], ["1-4-8-9", "3"]]
+        for N, want in (
+                ("3", [["1-2-7-9", "3"], ["1-3-8-9", "3"], ["1-4-8-9", "3"]]),
+                ("4", [["1-2-3-8-9", "4"], ["1-2-5-6-9", "4"], ["1-2-5-7-9", "4"],
+                       ["1-2-7-9-9", "3"], ["1-3-4-8-9", "4"], ["1-3-8-9-9", "3"],
+                       ["1-4-8-9-9", "3"]])):
+            code, out, _ = run(capsys, "paths", "--graph", "g9", "-N", N,
+                               "--source", "1", "--target", "9", "--format", "csv")
+            assert code == 0
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[1:] == want
 
     def test_metrics_json(self, capsys):
         code, out, _ = run(capsys, "metrics", "--graph", "g9")
         doc = json.loads(out)
         assert doc["characteristic_length"] == "inf"
         assert doc["edge_count"] == 15
+        assert doc["global_efficiency"] == 0.273148148148
+        assert doc["reachable_pair_average"] == 1.53846153846
 
     def test_oracle_matches_solve(self, capsys):
         _, solve_out, _ = run(capsys, *SOLVE_G9)

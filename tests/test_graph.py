@@ -39,27 +39,22 @@ class TestConstruction:
     def test_basic_fields(self, g9):
         assert g9.n == 9
         assert len(g9.edges) == 15
-        assert g9.has_edge(1, 2)
-        assert not g9.has_edge(2, 1)
-        assert g9.edge_length(7, 9) == 1.0
-        assert g9.edge_length(9, 9) == 0.0
+        assert path_length(g9, (1, 2)) == 1.0
+        assert math.isinf(path_length(g9, (2, 1)))
+        assert path_length(g9, (7, 9)) == 1.0
+        assert path_length(g9, (9, 9)) == 0.0
 
     def test_modified_edge(self, g9_long79):
-        assert g9_long79.edge_length(7, 9) == 2.0
-        assert g9_long79.edge_length(8, 9) == 1.0
-
-    def test_length_matrix_and_adjacency(self, g9):
-        L = g9.length_matrix
-        assert L[0, 1] == 1.0
-        assert L[8, 8] == 0.0
-        assert math.isinf(L[1, 0])
-        assert g9.adjacency[8, 8]
-        assert g9.adjacency.sum() == 15
+        assert path_length(g9_long79, (7, 9)) == 2.0
+        assert path_length(g9_long79, (8, 9)) == 1.0
 
     def test_successors_sorted(self, g9):
-        assert g9.successors[0] == (2, 3, 4)
-        assert g9.successors[1] == (3, 5, 7)
-        assert g9.successors[8] == (9,)
+        e = g9.edge_index
+        def targets(u):
+            return tuple((e.dst[e.out_edges(u - 1)] + 1).tolist())
+        assert targets(1) == (2, 3, 4)
+        assert targets(2) == (3, 5, 7)
+        assert targets(9) == (9,)
 
     def test_rejects_out_of_range_nodes(self):
         with pytest.raises(ValueError, match="edges\\[0\\]"):

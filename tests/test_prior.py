@@ -5,14 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from netbridge import (
     ConvergenceError,
     DirectedGraph,
+    EdgeIndex,
     InfeasibleError,
     PerronTriple,
-    PrimitivityError,
     PriorChain,
     boltzmann_prior,
     chain_path_mass,
@@ -22,8 +21,7 @@ from netbridge import (
     perron,
     ruelle_bowen_chain,
 )
-from netbridge.prior import _primitivity_witness
-from conftest import random_graph
+from conftest import edge_weights, random_graph
 
 FIBONACCI = np.array([[1.0, 1.0], [1.0, 0.0]])
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -139,17 +137,16 @@ class TestPartitionFunction:
 
 class TestPerron:
     def test_fibonacci_eigenvalue(self):
-        res = perron(FIBONACCI)
+        res = perron(*edge_weights(FIBONACCI))
         assert abs(res.lam - GOLDEN) <= 1e-12
-        assert res.primitive
 
     def test_residuals_small(self):
-        res = perron(FIBONACCI)
+        res = perron(*edge_weights(FIBONACCI))
         assert np.abs(FIBONACCI @ res.v - res.lam * res.v).max() <= 1e-12 * res.lam
         assert np.abs(res.u @ FIBONACCI - res.lam * res.u).max() <= 1e-12 * res.lam
 
     def test_normalization(self):
-        res = perron(FIBONACCI)
+        res = perron(*edge_weights(FIBONACCI))
         assert res.u @ res.v == pytest.approx(1.0, abs=1e-13)
         assert res.v.sum() == pytest.approx(1.0, abs=1e-13)
 
@@ -158,7 +155,7 @@ class TestPerron:
         for _ in range(20):
             n = int(rng.integers(2, 8))
             B = rng.random((n, n)) + 0.05
-            res = perron(B)
+            res = perron(*edge_weights(B))
             lam_np = max(abs(np.linalg.eigvals(B)))
             assert res.lam == pytest.approx(lam_np, rel=1e-10)
             assert np.abs(B @ res.v - res.lam * res.v).max() <= 1e-12 * res.lam
@@ -166,70 +163,29 @@ class TestPerron:
     def test_scale_invariance_of_vectors(self):
         rng = np.random.default_rng(5)
         B = rng.random((5, 5)) + 0.1
-        a, b = perron(B), perron(100.0 * B)
+        a, b = perron(*edge_weights(B)), perron(*edge_weights(100.0 * B))
         assert b.lam == pytest.approx(100.0 * a.lam, rel=1e-11)
         assert np.allclose(a.v, b.v, atol=1e-10)
         assert np.allclose(a.u, b.u, atol=1e-10)
 
     def test_reducible_funnel(self, g9):
-        B = np.where(np.isfinite(g9.length_matrix),
-                     np.exp(-np.where(np.isfinite(g9.length_matrix),
-                                      g9.length_matrix, 0.0)), 0.0)
-        res = perron(B)
+        B = boltzmann_prior(g9, 1.0, 1).matrix(0)
+        res = perron(*edge_weights(B))
         # the only cycle is the zero-length self-loop, so the radius is 1
         assert res.lam == pytest.approx(1.0, abs=1e-12)
-        assert not res.primitive
         assert np.abs(B @ res.v - res.lam * res.v).max() <= 1e-12 * res.lam
-
-    def test_strict_mode_rejects_reducible(self, g9):
-        B = (g9.adjacency.astype(float))
-        with pytest.raises(PrimitivityError) as err:
-            perron(B, require_primitive=True)
-        assert "power" in str(err.value) or "zero" in str(err.value)
-
-    def test_strict_mode_accepts_primitive(self):
-        res = perron(FIBONACCI, require_primitive=True)
-        assert res.primitive
-
-    def test_primitivity_witness_does_not_wrap(self):
-        # K_257 without self-loops is primitive (B^2 > 0), but 256 in-neighbours
-        # wrap to zero in 8-bit walk counts
-        res = perron(np.ones((257, 257)) - np.eye(257), require_primitive=True)
-        assert res.primitive
-
-    @settings(max_examples=200)
-    @given(st.integers(1, 7).flatmap(
-        lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n)
-        .map(lambda bits: np.array(bits, dtype=float).reshape(n, n))))
-    @example(np.roll(np.eye(3), 1, axis=1))  # 3-cycle: period 3
-    @example(np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0.0]]))
-    @example(np.zeros((1, 1)))
-    def test_primitivity_matches_wielandt_powers(self, B):
-        n = B.shape[0]
-        bound = n * n - 2 * n + 2
-        powers = [B > 0]
-        for _ in range(bound - 1):
-            powers.append((powers[-1].astype(float) @ B) > 0)
-        primitive, witness = _primitivity_witness(B)
-        assert primitive == any(P.all() for P in powers)
-        if not primitive:
-            i, j, k = witness
-            assert k >= bound
-            P = np.eye(n)
-            for _ in range(k):
-                P = (P @ B > 0).astype(float)
-            assert P[i - 1, j - 1] == 0.0
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ConvergenceError):
-            perron(np.zeros((3, 3)))
+            perron(*edge_weights(np.zeros((3, 3))))
 
     def test_negative_entries_rejected(self):
+        edges = EdgeIndex(2, [0, 1, 1], [0, 0, 1])
         with pytest.raises(ValueError):
-            perron(np.array([[1.0, -0.1], [1.0, 1.0]]))
+            perron(edges, [1.0, -0.1, 1.0])
 
     def test_result_is_frozen(self):
-        res = perron(FIBONACCI)
+        res = perron(*edge_weights(FIBONACCI))
         assert isinstance(res, PerronTriple)
         with pytest.raises(AttributeError):
             res.lam = 2.0
@@ -255,7 +211,8 @@ class TestRuelleBowen:
         R, mu = chain.matrix(0), chain.mu0
         rate = -sum(mu[i] * R[i, j] * math.log(R[i, j])
                     for i in range(4) for j in range(4) if R[i, j] > 0)
-        lam = max(abs(np.linalg.eigvals(ring4.adjacency.astype(float))))
+        A = (boltzmann_prior(ring4, 1.0, 1).matrix(0) > 0).astype(float)
+        lam = max(abs(np.linalg.eigvals(A)))
         assert rate == pytest.approx(math.log(lam), abs=1e-10)
 
     def test_funnel_graph_concentrates_on_sink(self, g9):
