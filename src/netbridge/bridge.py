@@ -22,9 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError
-from .graph import PATH_CAP, DirectedGraph, EdgeIndex, Path, \
-    enumerate_feasible_paths, require_routes, step_paths, step_reach
-from .prior import PriorChain, chain_path_mass
+from .graph import EdgeIndex, Path, require_routes, step_paths, step_reach
+from .prior import PriorChain, chain_path_mass, log_path_masses
 
 ARGMAX_REL_TOL = 1e-9  # paths within this share of the top mass tie for it
 
@@ -67,6 +66,12 @@ class BridgeSolution:
     @property
     def n(self) -> int:
         return self.marginals.shape[1]
+
+    @property
+    def chain(self) -> PriorChain:
+        """The bridge as a chain: log transitions started from marginals[0]."""
+        with np.errstate(divide="ignore"):
+            return PriorChain(self.edges, np.log(self.transitions), self.marginals[0])
 
 
 def as_marginal(weights, n: int) -> np.ndarray:
@@ -196,57 +201,34 @@ def marginal_flow(sol: BridgeSolution) -> np.ndarray:
 
 def path_probability(sol: BridgeSolution, p: Sequence[int]) -> float:
     """Mass of one path under the bridge: nu0(x0) times the transition entries."""
-    p = tuple(p)
-    if len(p) != sol.N + 1:
-        raise ValueError(f"path has {len(p) - 1} steps, solution expects {sol.N}")
-    n = sol.n
-    for x in p:
-        if not (1 <= x <= n):
-            raise ValueError(f"node {x} out of range 1..{n}")
-    ids = sol.edges.find(np.array(p[:-1]) - 1, np.array(p[1:]) - 1)
-    prob = float(sol.marginals[0][p[0] - 1])
-    for t, e in enumerate(ids.tolist()):
-        if prob == 0.0:
-            return 0.0
-        prob *= float(sol.transitions[t, e]) if e >= 0 else 0.0
-    return prob
+    return chain_path_mass(sol.chain, p)
 
 
-def support_paths(prior: PriorChain, source: int | None = None,
-                  target: int | None = None, cap: int = PATH_CAP) -> list[Path]:
-    """All N-step paths with positive transition weight at every step.
-
-    Like graph enumeration, but against the (possibly time-dependent)
-    support of a prior chain; mu0 is ignored.
-    """
-    return step_paths(prior.edges, prior.support, source, target, cap)
-
-
-def most_probable_paths(g: DirectedGraph, measure, source: int, target: int) -> list[Path]:
+def most_probable_paths(measure, source: int, target: int) -> list[Path]:
     """Paths from source to target whose mass is within (1 - ARGMAX_REL_TOL) of the top.
 
     `measure` may be a BridgeSolution, a PriorChain, or anything with a
-    `masses` mapping (a path measure).  Returns the argmax set in
+    `masses` mapping (a path measure).  Masses are compared in log space,
+    so no temperature underflows them.  Returns the argmax set in
     lexicographic order; an empty list if every candidate path has zero mass.
     """
     if isinstance(measure, BridgeSolution):
-        paths = enumerate_feasible_paths(g, measure.N, source=source, target=target)
-        masses = {p: path_probability(measure, p) for p in paths}
-    elif isinstance(measure, PriorChain):
-        paths = support_paths(measure, source=source, target=target)
-        masses = {p: chain_path_mass(measure, p) for p in paths}
+        measure = measure.chain
+    if isinstance(measure, PriorChain):
+        paths = step_paths(measure.edges, measure.support, source, target)
+        log_m = log_path_masses(measure, paths)
     elif hasattr(measure, "masses"):
-        masses = {p: m for p, m in measure.masses.items()
-                  if p[0] == source and p[-1] == target}
-        paths = sorted(masses)
+        paths = sorted(p for p in measure.masses if p[0] == source and p[-1] == target)
+        with np.errstate(divide="ignore"):
+            log_m = np.log([measure.masses[p] for p in paths])
     else:
         raise TypeError(f"unsupported measure type: {type(measure).__name__}")
     if not paths:
         raise InfeasibleError(f"no path from node {source} to node {target}")
-    top = max(masses.values())
-    if top == 0.0:
+    top = log_m.max()
+    if top == -np.inf:
         return []
-    return [p for p in sorted(masses) if masses[p] >= (1.0 - ARGMAX_REL_TOL) * top]
+    return [p for p, m in zip(paths, log_m) if m >= top + np.log1p(-ARGMAX_REL_TOL)]
 
 
 def iterated_bridge_check(prior: PriorChain, first, second,
@@ -260,9 +242,7 @@ def iterated_bridge_check(prior: PriorChain, first, second,
     """
     nu0_1, nuN_1 = first
     nu0_2, nuN_2 = second
-    sol_first = solve_schrodinger(prior, nu0_1, nuN_1, config)
-    with np.errstate(divide="ignore"):
-        inner = PriorChain(prior.edges, np.log(sol_first.transitions), sol_first.marginals[0])
+    inner = solve_schrodinger(prior, nu0_1, nuN_1, config).chain
     direct = solve_schrodinger(prior, nu0_2, nuN_2, config)
     nested = solve_schrodinger(inner, nu0_2, nuN_2, config)
     return float(np.abs(direct.transitions - nested.transitions).max(initial=0.0))
@@ -274,19 +254,17 @@ def restriction_ratio_check(prior: PriorChain, sol: BridgeSolution,
 
     For a bridge pinned by delta marginals the ratio is the same for every
     path (it telescopes to a function of the endpoints only), so the spread
-    (max - min)/max should vanish up to solver tolerance.
+    1 - min/max, taken from log ratios, should vanish up to solver tolerance.
     """
-    paths = support_paths(prior, source=source, target=target)
-    ratios = []
-    for p in paths:
-        q = chain_path_mass(prior, p)
-        if q > 0.0:
-            ratios.append(path_probability(sol, p) / q)
-    if len(ratios) < 2:
+    paths = step_paths(prior.edges, prior.support, source, target)
+    log_q = log_path_masses(prior, paths)
+    positive = log_q > -np.inf
+    if np.count_nonzero(positive) < 2:
         raise InfeasibleError(
             f"need at least two {source}->{target} paths with positive prior mass"
         )
-    top = max(ratios)
-    if top == 0.0:
+    log_r = log_path_masses(sol.chain, paths)[positive] - log_q[positive]
+    top = log_r.max()
+    if top == -np.inf:
         return 0.0
-    return (top - min(ratios)) / top
+    return float(1.0 - np.exp(log_r.min() - top))

@@ -15,14 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import BridgeSolution, SolverConfig, as_marginal, path_probability, \
-    solve_schrodinger
+from .bridge import BridgeSolution, SolverConfig, as_marginal, solve_schrodinger
 from .errors import ConvergenceError, InfeasibleBudgetError, InfeasibleError, \
     NetbridgeError
 from .graph import PATH_CAP, DirectedGraph, Path, path_length
-from .metrics import PathMeasure, average_path_length, entropy
-from .oracle import measure_from_bridge
-from .prior import boltzmann_prior
+from .metrics import PathMeasure, average_path_length, entropy, measure_from_chain
+from .prior import boltzmann_prior, log_path_masses
 
 BRACKET_START = (1e-2, 1e2)
 BRACKET_LIMIT = (1e-6, 1e6)
@@ -296,13 +294,13 @@ def temperature_sweep(g: DirectedGraph, nu0, nuN, N: int, temperatures,
     def run(T: float) -> SweepRow:
         try:
             sol = solve_schrodinger(boltzmann_prior(g, T, N), nu0, nuN, config)
-            masses = {p: path_probability(sol, p) for p in tracked}
+            masses = np.exp(log_path_masses(sol.chain, tracked)).tolist()
             return SweepRow(
                 temperature=T,
                 average_length=average_path_length(sol, g),
                 entropy=entropy(sol),
                 variance=length_variance(sol, g),
-                path_masses=masses,
+                path_masses=dict(zip(tracked, masses)),
                 marginal_flow=sol.marginals,
             )
         except NetbridgeError as exc:
@@ -346,7 +344,7 @@ def omt_approximation(g: DirectedGraph, nu0, nuN, N: int,
     if not (T_small > 0):
         raise ValueError(f"T_small must be positive, got {T_small}")
     sol = solve_schrodinger(boltzmann_prior(g, T_small, N), nu0, nuN, config)
-    measure = measure_from_bridge(sol, g, cap=cap)
+    measure = measure_from_chain(sol.chain, cap)
     lengths = {p: path_length(g, p) for p in measure.masses}
     lmin = min(lengths.values())
     minimal = tuple(sorted(p for p, l in lengths.items() if l <= lmin + 1e-9))

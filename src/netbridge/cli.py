@@ -38,16 +38,16 @@ import numpy as np
 
 from ._numeric import sig12
 from .bridge import BridgeSolution, SolverConfig, as_marginal, delta_marginal, \
-    iterated_bridge_check, most_probable_paths, path_probability, \
-    restriction_ratio_check, solve_schrodinger
+    iterated_bridge_check, most_probable_paths, restriction_ratio_check, \
+    solve_schrodinger
 from .calibrate import TemperatureLimit, calibrate_temperature, temperature_sweep
 from .errors import ConvergenceError, EnumerationCapError, GraphFormatError, \
     InfeasibleBudgetError, InfeasibleError
 from .graph import DirectedGraph, enumerate_feasible_paths, g9_network, load_graph, \
     path_counts, path_length, step_reach
 from .metrics import PathMeasure, average_path_length, entropy, \
-    graph_efficiency_stats, total_variation
-from .oracle import conditioned_boltzmann, measure_from_bridge, oracle_bridge
+    graph_efficiency_stats, measure_from_chain, total_variation
+from .oracle import conditioned_boltzmann, oracle_bridge, verify_equal_length_masses
 from .prior import boltzmann_prior
 
 LN2 = float(np.log(2.0))
@@ -282,20 +282,14 @@ def _flow_doc(g: DirectedGraph, sol: BridgeSolution, T: float, bits: bool,
                   for j in targets)
     doc["path_count"] = n_paths
     if n_paths <= path_cap:
-        masses = {}
-        for s in sources:
-            for j in targets:
-                for p in enumerate_feasible_paths(g, sol.N, source=s, target=j):
-                    m = path_probability(rounded, p)
-                    if m > 0.0:
-                        masses[_path_key(p)] = m
-        doc["path_masses"] = dict(sorted(masses.items()))
+        masses = measure_from_chain(rounded.chain, path_cap).masses
+        doc["path_masses"] = {_path_key(p): m for p, m in masses.items()}
     else:
         doc["path_masses"] = None
     return doc
 
 
-def _add_common(sub, marginals=True, horizon=True, temperature=False,
+def _add_common(sub, marginals=True, horizon=True, temperature=False, solver=True,
                 formats=("json", "csv")):
     sub.add_argument("--graph", required=True,
                      help="graph document path, or builtin name (g9, g9-long79)")
@@ -315,9 +309,10 @@ def _add_common(sub, marginals=True, horizon=True, temperature=False,
                          help="number of steps")
     if temperature:
         sub.add_argument("-T", "--temperature", type=float, required=True)
-    sub.add_argument("--tol", type=float, default=1e-12,
-                     help="solver convergence tolerance")
-    sub.add_argument("--max-iter", type=int, default=100_000)
+    if solver:
+        sub.add_argument("--tol", type=float, default=1e-12,
+                         help="solver convergence tolerance")
+        sub.add_argument("--max-iter", type=int, default=100_000)
 
 
 def build_parser() -> _Parser:
@@ -354,19 +349,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("paths",
                        help="enumerate feasible N-step paths")
-    _add_common(p, marginals=False)
+    _add_common(p, marginals=False, solver=False)
     p.add_argument("--source", type=int, default=None)
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--cap", type=int, default=100_000)
 
     p = sub.add_parser("metrics",
                        help="distance and efficiency statistics of the graph")
-    _add_common(p, marginals=False, horizon=False)
+    _add_common(p, marginals=False, horizon=False, solver=False)
 
     p = sub.add_parser("oracle",
                        help="brute-force bridge by endpoint-kernel scaling")
-    _add_common(p, temperature=True)
-    p.add_argument("--path-cap", type=int, default=10_000)
+    _add_common(p, temperature=True, solver=False)
 
     p = sub.add_parser("verify",
                        help="run the cross-check battery; exit 0 iff all pass")
@@ -417,17 +411,14 @@ def cmd_sweep(args) -> int:
     nuN = _resolve_marginal(g.n, args.to_delta, args.to_spec, "to")
     grid = _parse_grid(args.t_grid)
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
-    tracked = [_parse_path(t) for t in args.track]
+    # keyed by path, so each is tracked once, in the order first named
+    tracked = dict.fromkeys(_parse_path(t) for t in args.track)
     if args.track_all:
-        s0 = np.flatnonzero(nu0 > 0)
-        sN = np.flatnonzero(nuN > 0)
-        for i in s0:
-            for j in sN:
-                for p in enumerate_feasible_paths(g, args.horizon,
-                                                  source=int(i) + 1,
-                                                  target=int(j) + 1):
-                    if p not in tracked:
-                        tracked.append(p)
+        for i in np.flatnonzero(nu0 > 0):
+            for j in np.flatnonzero(nuN > 0):
+                tracked.update(dict.fromkeys(enumerate_feasible_paths(
+                    g, args.horizon, source=int(i) + 1, target=int(j) + 1)))
+    tracked = list(tracked)
     rows = temperature_sweep(g, nu0, nuN, args.horizon, grid,
                              tracked_paths=tracked, config=cfg)
     for r in rows:
@@ -600,7 +591,7 @@ def _verify_checks(args, g, nu0, nuN, cfg):
                        float(np.abs(sol.marginals[N] - nuN).max())),
                    max(10 * cfg.tol, 1e-10)))
 
-    bridge_measure = measure_from_bridge(sol, g)
+    bridge_measure = measure_from_chain(sol.chain)
     checks.append(("path-normalization", abs(bridge_measure.total() - 1.0), 1e-10))
 
     oracle_measure = oracle_bridge(prior, g, nu0, nuN)
@@ -633,9 +624,9 @@ def _verify_checks(args, g, nu0, nuN, cfg):
         sol_t = solve_schrodinger(boltzmann_prior(g, Tg, N),
                                   delta_marginal(g.n, source),
                                   delta_marginal(g.n, target), cfg)
-        sets.append(tuple(most_probable_paths(g, sol_t, source, target)))
+        sets.append(tuple(most_probable_paths(sol_t, source, target)))
         sets.append(tuple(most_probable_paths(
-            g, conditioned_boltzmann(g, Tg, N, source, target), source, target)))
+            conditioned_boltzmann(g, Tg, N, source, target), source, target)))
     checks.append(("argmax-path-invariance", 0.0 if len(set(sets)) == 1 else 1.0, 0.5))
 
     sol_delta = solve_schrodinger(prior, delta_marginal(g.n, source),
@@ -646,7 +637,6 @@ def _verify_checks(args, g, nu0, nuN, cfg):
         spread = 0.0  # single-path pair: constancy is vacuous
     checks.append(("restriction-ratio", spread, args.tol_invariance))
 
-    from .oracle import verify_equal_length_masses
     rep = verify_equal_length_masses(g, T, N, cfg)
     checks.append(("equal-length-masses",
                    max(rep.max_spread, 0.0 if rep.minimal_group_dominates else 1.0),

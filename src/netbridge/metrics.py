@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import BridgeSolution
-from .graph import DirectedGraph, Path, path_length, shortest_path_matrix
-from .prior import PriorChain, chain_path_mass
+from .graph import PATH_CAP, DirectedGraph, Path, path_length, shortest_path_matrix, \
+    step_paths
+from .prior import PriorChain, log_path_masses
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,21 @@ class PathMeasure:
         if z <= 0:
             raise ValueError("cannot normalize a zero measure")
         return PathMeasure(self.N, {p: m / z for p, m in self.masses.items()})
+
+
+def measure_from_chain(chain: PriorChain, cap: int = PATH_CAP) -> PathMeasure:
+    """Expand a chain into its explicit (possibly unnormalized) path measure.
+
+    Keeps every path with positive mass; a solved bridge expands through
+    its `chain`.  Enumeration starts only where mu0 has mass, and more than
+    `cap` candidate paths raise EnumerationCapError.
+    """
+    supports = chain.support  # a fresh array, narrowed in place
+    if chain.N:
+        supports[0] &= chain.mu0[chain.edges.src] > 0.0
+    paths = step_paths(chain.edges, supports, cap=cap)
+    masses = np.exp(log_path_masses(chain, paths)).tolist()
+    return PathMeasure(chain.N, {p: m for p, m in zip(paths, masses) if m > 0.0})
 
 
 def _check_probability(P: PathMeasure) -> None:
@@ -127,28 +143,24 @@ def relative_entropy(P: PathMeasure, Q) -> float:
     """D(P || Q) = sum P ln(P/Q); +inf if P has mass outside Q's support.
 
     Q may be a PathMeasure or a PriorChain and need not be normalized, in
-    which case the value can be negative.
+    which case the value can be negative.  The sum runs over log masses,
+    so a prior whose path masses underflow still gives a finite value.
     """
     _check_probability(P)
-    if isinstance(Q, PriorChain):
-        if Q.N != P.N:
-            raise ValueError(f"horizon mismatch: P has N={P.N}, Q has N={Q.N}")
-        q_of = lambda p: chain_path_mass(Q, p)
-    elif isinstance(Q, PathMeasure):
-        if Q.N != P.N:
-            raise ValueError(f"horizon mismatch: P has N={P.N}, Q has N={Q.N}")
-        q_of = lambda p: Q.masses.get(p, 0.0)
-    else:
+    if not isinstance(Q, (PriorChain, PathMeasure)):
         raise TypeError(f"unsupported reference measure type: {type(Q).__name__}")
-    total = 0.0
-    for p, m in P.masses.items():
-        if m == 0.0:
-            continue
-        q = q_of(p)
-        if q == 0.0:
-            return float("inf")
-        total += m * np.log(m / q)
-    return float(total)
+    if Q.N != P.N:
+        raise ValueError(f"horizon mismatch: P has N={P.N}, Q has N={Q.N}")
+    paths = [p for p, m in P.masses.items() if m > 0.0]
+    m = np.array([P.masses[p] for p in paths])
+    if isinstance(Q, PriorChain):
+        log_q = log_path_masses(Q, paths)
+    else:
+        with np.errstate(divide="ignore"):
+            log_q = np.log([Q.masses.get(p, 0.0) for p in paths])
+    if np.any(log_q == -np.inf):
+        return float("inf")
+    return float((m * (np.log(m) - log_q)).sum())
 
 
 def free_energy(measure, T: float, g: DirectedGraph) -> EfficiencyReport:

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import logsumexp
-from .bridge import BridgeSolution, SolverConfig, as_marginal, delta_marginal, \
-    path_probability, solve_schrodinger
+from .bridge import SolverConfig, as_marginal, delta_marginal, solve_schrodinger
 from .errors import ConvergenceError, InfeasibleError, NetbridgeError
-from .graph import PATH_CAP, DirectedGraph, Path, enumerate_feasible_paths, \
-    path_length, require_routes, step_paths, step_reach
-from .metrics import PathMeasure
-from .prior import PriorChain, chain_path_mass, check_temperature, log_path_weight, \
-    ruelle_bowen_chain
+from .graph import PATH_CAP, DirectedGraph, enumerate_feasible_paths, path_length, \
+    require_routes, step_paths, step_reach
+from .metrics import PathMeasure, measure_from_chain
+from .prior import PriorChain, check_temperature, log_path_masses, ruelle_bowen_chain
 
 ORACLE_TOL = 1e-13
 ORACLE_MAX_SWEEPS = 1_000_000
@@ -36,6 +34,15 @@ class EndpointKernel:
     matrix: np.ndarray
 
 
+def _prior_paths(prior: PriorChain, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The paths on the prior's support as a (P, N+1) array, with their
+    transition-product weights (mu0 excluded)."""
+    paths = step_paths(prior.edges, prior.support, cap=cap)
+    unit = PriorChain(prior.edges, prior.log_weights, np.ones(prior.n))
+    return (np.array(paths, dtype=np.intp).reshape(len(paths), prior.N + 1),
+            np.exp(log_path_masses(unit, paths)))
+
+
 def endpoint_kernel(prior: PriorChain, cap: int = PATH_CAP) -> EndpointKernel:
     """Aggregate the prior over interior nodes, keeping endpoints only.
 
@@ -45,9 +52,9 @@ def endpoint_kernel(prior: PriorChain, cap: int = PATH_CAP) -> EndpointKernel:
     bug, so it raises NetbridgeError rather than returning either.
     """
     n = prior.n
+    paths, weights = _prior_paths(prior, cap)
     by_enum = np.zeros((n, n))
-    for p in step_paths(prior.edges, prior.support, cap=cap):
-        by_enum[p[0] - 1, p[-1] - 1] += np.exp(log_path_weight(prior, p))
+    np.add.at(by_enum, (paths[:, 0] - 1, paths[:, -1] - 1), weights)
     prod = np.eye(n)
     for t in range(prior.N):
         prod = prod @ prior.matrix(t)
@@ -95,15 +102,11 @@ def oracle_bridge(prior: PriorChain, g: DirectedGraph, nu0, nuN,
             f"kernel scaling did not converge in {ORACLE_MAX_SWEEPS} sweeps",
             residual=max(row_err, col_err), iterations=ORACLE_MAX_SWEEPS,
         )
-    masses: dict[Path, float] = {}
-    for p in step_paths(prior.edges, prior.support, cap=cap):
-        if a[p[0] - 1] == 0.0 or b[p[-1] - 1] == 0.0:
-            continue
-        log_m = log_path_weight(prior, p)
-        mass = a[p[0] - 1] * b[p[-1] - 1] * float(np.exp(log_m))
-        if mass > 0.0:
-            masses[p] = mass
-    return PathMeasure(prior.N, masses)
+    paths, weights = _prior_paths(prior, cap)
+    masses = a[paths[:, 0] - 1] * b[paths[:, -1] - 1] * weights
+    keep = np.flatnonzero(masses > 0.0)
+    return PathMeasure(prior.N, dict(zip(map(tuple, paths[keep].tolist()),
+                                         masses[keep].tolist())))
 
 
 def conditioned_boltzmann(g: DirectedGraph, T: float, N: int,
@@ -124,28 +127,6 @@ def conditioned_boltzmann(g: DirectedGraph, T: float, N: int,
     logw = np.array([-path_length(g, p) / T for p in paths])
     logz = logsumexp(logw)
     return PathMeasure(N, {p: float(np.exp(lw - logz)) for p, lw in zip(paths, logw)})
-
-
-def measure_from_bridge(sol: BridgeSolution, g: DirectedGraph,
-                        cap: int = PATH_CAP) -> PathMeasure:
-    """Expand a solved bridge into its explicit path measure by enumeration."""
-    masses: dict[Path, float] = {}
-    for i in np.flatnonzero(sol.marginals[0] > 0):
-        for p in enumerate_feasible_paths(g, sol.N, source=int(i) + 1, cap=cap):
-            m = path_probability(sol, p)
-            if m > 0.0:
-                masses[p] = m
-    return PathMeasure(sol.N, masses)
-
-
-def measure_from_chain(prior: PriorChain, cap: int = PATH_CAP) -> PathMeasure:
-    """Expand a prior chain into its explicit (possibly unnormalized) path measure."""
-    masses: dict[Path, float] = {}
-    for p in step_paths(prior.edges, prior.support, cap=cap):
-        m = chain_path_mass(prior, p)
-        if m > 0.0:
-            masses[p] = m
-    return PathMeasure(prior.N, masses)
 
 
 @dataclass(frozen=True)
@@ -184,9 +165,8 @@ def verify_equal_length_masses(g: DirectedGraph, T: float, N: int,
             sol = solve_schrodinger(prior, delta_marginal(g.n, i),
                                     delta_marginal(g.n, j), cfg)
             groups: dict[float, list[float]] = {}
-            for p in enumerate_feasible_paths(g, N, source=i, target=j, cap=cap):
-                groups.setdefault(round(path_length(g, p), 9), []).append(
-                    path_probability(sol, p))
+            for p, m in measure_from_chain(sol.chain, cap).masses.items():
+                groups.setdefault(round(path_length(g, p), 9), []).append(m)
             for members in groups.values():
                 top = max(members)
                 if top > 0.0:

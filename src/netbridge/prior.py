@@ -158,27 +158,36 @@ def boltzmann_prior(g: DirectedGraph, T: float, N: int) -> PriorChain:
     return PriorChain(g.edge_index, np.broadcast_to(lw, (N, lw.size)), mu0)
 
 
-def log_path_weight(prior: PriorChain, p: Sequence[int]) -> float:
-    """log of prod_t M(t)[x_t, x_{t+1}] (mu0 excluded); -inf if some step of
-    the path has no weight."""
-    p = tuple(p)
-    if len(p) != prior.N + 1:
-        raise ValueError(f"path has {len(p) - 1} steps, prior expects {prior.N}")
-    n = prior.n
-    for x in p:
-        if not (1 <= x <= n):
-            raise ValueError(f"node {x} out of range 1..{n}")
-    ids = prior.edges.find(np.array(p[:-1]) - 1, np.array(p[1:]) - 1)
-    if np.any(ids < 0):
-        return float("-inf")
-    return float(prior.log_weights[np.arange(prior.N), ids].sum())
+def log_path_masses(chain: PriorChain, paths: Sequence[Sequence[int]]) -> np.ndarray:
+    """log mu0(x_0) + sum_t log w_t(x_t, x_{t+1}) for each path x of `paths`.
+
+    -inf where mu0 has no mass at the start or some step has no weight.
+    The edges of all paths are looked up at once and the log weights are
+    added in step order.
+    """
+    N, n = chain.N, chain.n
+    for p in paths:
+        if len(p) != N + 1:
+            raise ValueError(f"path has {len(p) - 1} steps, prior expects {N}")
+    try:
+        X = np.array(paths, dtype=np.intp).reshape(len(paths), N + 1)
+    except OverflowError:  # a node id past any index is out of range too
+        X = np.array(paths, dtype=object)
+    bad = X[(X < 1) | (X > n)]
+    if bad.size:
+        raise ValueError(f"node {bad[0]} out of range 1..{n}")
+    ids = chain.edges.find(X[:, :-1] - 1, X[:, 1:] - 1)
+    feasible = (ids >= 0).all(axis=1)
+    with np.errstate(divide="ignore"):
+        out = np.where(feasible, np.log(chain.mu0[X[:, 0] - 1]), -np.inf)
+    for t in range(N):
+        out[feasible] += chain.log_weights[t, ids[feasible, t]]
+    return out
 
 
-def chain_path_mass(prior: PriorChain, p: Sequence[int]) -> float:
-    """Mass mu0(x0) * prod_t M(t)[x_t, x_{t+1}] of one path; 0 if infeasible."""
-    log_w = log_path_weight(prior, p)
-    start = prior.mu0[p[0] - 1]
-    return 0.0 if start == 0.0 else float(np.exp(np.log(start) + log_w))
+def chain_path_mass(chain: PriorChain, p: Sequence[int]) -> float:
+    """Mass mu0(x0) * prod_t w_t(x_t, x_{t+1}) of one path; 0 if infeasible."""
+    return float(np.exp(log_path_masses(chain, [p])[0]))
 
 
 def partition_function(g: DirectedGraph, T: float, N: int) -> float:

@@ -27,7 +27,7 @@ from netbridge import (
     iterated_bridge_check,
     length_variance,
     marginal_flow,
-    measure_from_bridge,
+    measure_from_chain,
     most_probable_paths,
     oracle_bridge,
     partition_function,
@@ -212,7 +212,7 @@ def test_solver_agrees_with_brute_force_oracle(g9, g9_long79):
         prior = boltzmann_prior(g, T, N)
         nu0, nuN = delta_marginal(g.n, 1), delta_marginal(g.n, 9)
         sol = solve_schrodinger(prior, nu0, nuN)
-        tv = total_variation(measure_from_bridge(sol, g),
+        tv = total_variation(measure_from_chain(sol.chain),
                              oracle_bridge(prior, g, nu0, nuN))
         worst = max(worst, tv)
         cases += 1
@@ -237,7 +237,7 @@ def test_solver_agrees_with_brute_force_oracle(g9, g9_long79):
         nuN = _weights_on(rng, g.n, picked)
         prior = boltzmann_prior(g, T, N)
         sol = solve_schrodinger(prior, nu0, nuN)
-        tv = total_variation(measure_from_bridge(sol, g),
+        tv = total_variation(measure_from_chain(sol.chain),
                              oracle_bridge(prior, g, nu0, nuN))
         worst = max(worst, tv)
         cases += 1
@@ -253,8 +253,8 @@ def test_most_probable_path_set_is_temperature_invariant(g9, g9_long79):
         sets = set()
         for T in (0.1, 0.5, 1.0, 2.0, 10.0):
             sol = bridge_19(g, T, N)
-            sets.add(frozenset(most_probable_paths(g, sol, 1, 9)))
-            sets.add(frozenset(most_probable_paths(g, boltzmann_prior(g, T, N), 1, 9)))
+            sets.add(frozenset(most_probable_paths(sol, 1, 9)))
+            sets.add(frozenset(most_probable_paths(boltzmann_prior(g, T, N), 1, 9)))
         ok = ok and sets == {frozenset(expect)}
         details.append(f"{len(expect)} minimal paths stable on "
                        f"{'modified' if g is g9_long79 else 'unit'} graph")

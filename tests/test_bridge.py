@@ -28,17 +28,17 @@ from netbridge import (
     iterated_bridge_check,
     length_variance,
     marginal_flow,
-    measure_from_bridge,
+    measure_from_chain,
     most_probable_paths,
     path_length,
     path_probability,
     restriction_ratio_check,
     ruelle_bowen_chain,
     solve_schrodinger,
-    support_paths,
     total_variation,
 )
 from netbridge._numeric import hilbert_distance
+from netbridge.graph import step_paths
 from netbridge.cli import main
 from conftest import dense_steps, random_graph
 
@@ -169,7 +169,7 @@ class TestSolve:
         g = request.getfixturevalue(graph)
         sol = solve_schrodinger(boltzmann_prior(g, T, N), delta(9, 1), delta(9, 9))
         want = conditioned_boltzmann(g, T, N, 1, 9)
-        assert total_variation(measure_from_bridge(sol, g), want) <= 1e-10
+        assert total_variation(measure_from_chain(sol.chain), want) <= 1e-10
 
     def test_edge_longer_than_745_T_keeps_its_route(self):
         # exp(-(2.0 - 0.1)/0.001) is 0.0 in linear weights, which dropped
@@ -219,10 +219,19 @@ class TestSolve:
         src, tgt = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
         T = 10.0 ** log10_T
         prior = boltzmann_prior(g, T, N)
-        assume(support_paths(prior, src, tgt))
+        assume(step_paths(prior.edges, prior.support, src, tgt))
         sol = solve_schrodinger(prior, delta(n, src), delta(n, tgt))
         want = conditioned_boltzmann(g, T, N, src, tgt)
-        assert total_variation(measure_from_bridge(sol, g), want) <= 1e-10
+        assert total_variation(measure_from_chain(sol.chain), want) <= 1e-10
+
+    def test_chain_carries_the_path_masses(self, g9):
+        sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 4), delta(9, 1), delta(9, 9))
+        chain = sol.chain
+        assert chain.edges is sol.edges
+        assert np.array_equal(chain.mu0, sol.marginals[0])
+        assert np.array_equal(np.exp(chain.log_weights), sol.transitions)
+        assert path_probability(sol, (1, 2, 7, 9, 9)) == \
+            pytest.approx(1 / (3 + 4 / math.e), rel=1e-12)
 
     def test_solver_config_respected(self, g9):
         sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 3),
@@ -256,33 +265,47 @@ class TestIteratedBridge:
 class TestPathQueries:
     def test_support_paths_match_enumeration(self, g9):
         prior = boltzmann_prior(g9, 1.0, 3)
-        assert support_paths(prior, 1, 9) == \
+        assert step_paths(prior.edges, prior.support, 1, 9) == \
             enumerate_feasible_paths(g9, 3, source=1, target=9)
 
     def test_most_probable_from_solution(self, g9):
         sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 4),
                                 delta(9, 1), delta(9, 9))
-        best = most_probable_paths(g9, sol, 1, 9)
+        best = most_probable_paths(sol, 1, 9)
         assert set(best) == {(1, 2, 7, 9, 9), (1, 3, 8, 9, 9), (1, 4, 8, 9, 9)}
 
     def test_most_probable_from_prior_chain(self, g9):
         prior = boltzmann_prior(g9, 1.0, 4)
-        best = most_probable_paths(g9, prior, 1, 9)
+        best = most_probable_paths(prior, 1, 9)
         assert set(best) == {(1, 2, 7, 9, 9), (1, 3, 8, 9, 9), (1, 4, 8, 9, 9)}
 
     def test_most_probable_breaks_near_ties_together(self, g9_long79):
         sol = solve_schrodinger(boltzmann_prior(g9_long79, 1.0, 3),
                                 delta(9, 1), delta(9, 9))
-        best = most_probable_paths(g9_long79, sol, 1, 9)
+        best = most_probable_paths(sol, 1, 9)
         assert set(best) == {(1, 3, 8, 9), (1, 4, 8, 9)}
 
     def test_most_probable_infeasible_pair(self, g9):
         prior = boltzmann_prior(g9, 1.0, 2)
         with pytest.raises(InfeasibleError):
-            most_probable_paths(g9, prior, 1, 9)
+            most_probable_paths(prior, 1, 9)
 
     def test_restriction_ratio_constant(self, g9):
         prior = boltzmann_prior(g9, 1.0, 4)
+        sol = solve_schrodinger(prior, delta(9, 1), delta(9, 9))
+        assert restriction_ratio_check(prior, sol, 1, 9) <= 1e-12
+
+    @pytest.mark.parametrize("T", [1e-3, 1.0, 1e3])
+    def test_prior_and_bridge_argmax_agree_at_any_temperature(self, g9, T):
+        # at T=1e-3 every prior path mass exp(-l/T)/9 underflows in linear
+        # arithmetic; compared in log space the argmax set survives
+        prior = boltzmann_prior(g9, T, 4)
+        sol = solve_schrodinger(prior, delta(9, 1), delta(9, 9))
+        minimal = [(1, 2, 7, 9, 9), (1, 3, 8, 9, 9), (1, 4, 8, 9, 9)]
+        assert most_probable_paths(prior, 1, 9) == most_probable_paths(sol, 1, 9) == minimal
+
+    def test_restriction_ratio_constant_when_cold(self, g9):
+        prior = boltzmann_prior(g9, 0.002, 4)
         sol = solve_schrodinger(prior, delta(9, 1), delta(9, 9))
         assert restriction_ratio_check(prior, sol, 1, 9) <= 1e-12
 

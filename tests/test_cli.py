@@ -61,6 +61,11 @@ def assert_self_consistent(doc, g):
 
 SOLVE_G9 = ("solve", "--graph", "g9", "--from-delta", "1",
             "--to-delta", "9", "-N", "4", "-T", "1")
+ORACLE_G9 = ("oracle", "--graph", "g9", "--from-delta", "1", "--to-delta", "9",
+             "-N", "4", "-T", "1")
+# diffuse g9 marginals: two sources, two targets
+DIFFUSE_FROM = "[0.5,0.5,0,0,0,0,0,0,0]"
+DIFFUSE_TO = "[0,0,0,0,0,0,0,0.5,0.5]"
 
 
 class TestSolve:
@@ -464,6 +469,36 @@ class TestExitCodes:
         assert code == 1
         assert "COMMAND" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["paths", "--graph", "g9", "-N", "3", "--tol", "1e-6"],
+        ["paths", "--graph", "g9", "-N", "3", "--max-iter", "5"],
+        ["metrics", "--graph", "g9", "--tol", "1e-6"],
+        ["metrics", "--graph", "g9", "--max-iter", "5"],
+        [*ORACLE_G9, "--tol", "1e-6"],
+        [*ORACLE_G9, "--max-iter", "5"],
+        [*ORACLE_G9, "--path-cap", "1"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_options_a_command_does_not_read_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["solve", "-T", "0.1", "--max-iter", "50"], "did not converge"),
+        (["calibrate", "--L-bar", "2.505", "--max-iter", "300"], "lowest at which"),
+    ])
+    def test_non_convergence_exits_three_and_writes_nothing(self, tmp_path, capsys,
+                                                            argv, reason):
+        out = tmp_path / "out.json"
+        command, *rest = argv
+        code, _, err = run(capsys, command, "--graph", "g9", "-N", "3",
+                           "--from", DIFFUSE_FROM, "--to", DIFFUSE_TO, *rest,
+                           "--output", str(out))
+        assert code == 3
+        assert reason in err
+        assert not out.exists()
+
     def test_bad_graph_document(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 2}')
@@ -491,9 +526,20 @@ class TestSweep:
     def test_track_all_finds_every_path(self, capsys):
         code, out, _ = run(capsys, "sweep", "--graph", "g9", "--from-delta", "1",
                            "--to-delta", "9", "-N", "4", "--T-grid", "1",
-                           "--track-all", "--format", "csv")
+                           "--track", "1-2-7-9-9", "--track-all", "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows[0]) == 4 + 7
+        assert len(set(rows[0][4:])) == 7
+        assert rows[0][4] == "1-2-7-9-9"
+
+    def test_repeated_track_is_one_column(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--graph", "g9", "--from-delta", "1",
+                           "--to-delta", "9", "-N", "4", "--T-grid", "1",
+                           "--track", "1-2-7-9-9", "--track", "1-3-8-9-9",
+                           "--track", "1-2-7-9-9", "--format", "csv")
+        assert code == 0
+        header = next(csv.reader(io.StringIO(out)))
+        assert header[4:] == ["1-2-7-9-9", "1-3-8-9-9"]
 
     def test_json_rows_on_modified_graph(self, capsys):
         code, out, _ = run(capsys, "sweep", "--graph", "g9-long79",

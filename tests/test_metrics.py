@@ -16,6 +16,7 @@ from netbridge import (
     enumerate_feasible_paths,
     free_energy,
     graph_efficiency_stats,
+    measure_from_chain,
     partition_function,
     path_length,
     relative_entropy,
@@ -63,9 +64,8 @@ class TestAverageLength:
     def test_chain_form_matches_enumeration(self, g9):
         sol = solve_schrodinger(boltzmann_prior(g9, 0.8, 4),
                                 delta_marginal(9, 1), delta_marginal(9, 9))
-        from netbridge import measure_from_bridge
         chain_value = average_path_length(sol, g9)
-        enum_value = average_path_length(measure_from_bridge(sol, g9), g9)
+        enum_value = average_path_length(measure_from_chain(sol.chain), g9)
         assert chain_value == pytest.approx(enum_value, abs=1e-13)
 
     def test_off_edge_mass_is_infinite(self, g9):
@@ -83,11 +83,10 @@ class TestEntropy:
         assert entropy(PathMeasure(1, {(1, 2): 1.0})) == 0.0
 
     def test_chain_rule_matches_enumeration(self, g9):
-        from netbridge import measure_from_bridge
         sol = solve_schrodinger(boltzmann_prior(g9, 1.3, 4),
                                 delta_marginal(9, 1), delta_marginal(9, 9))
         assert entropy(sol) == \
-            pytest.approx(entropy(measure_from_bridge(sol, g9)), abs=1e-12)
+            pytest.approx(entropy(measure_from_chain(sol.chain)), abs=1e-12)
 
 
 class TestRelativeEntropy:
@@ -106,9 +105,16 @@ class TestRelativeEntropy:
         Q = PathMeasure(1, {(2, 1): 1.0})
         assert math.isinf(relative_entropy(P, Q))
 
+    def test_cold_bridge_against_prior_chain(self, g9):
+        # the prior masses exp(-l/0.002)/9 underflow in linear arithmetic;
+        # the three minimal routes share the mass, so D = ln 3 + 3/0.002
+        prior = boltzmann_prior(g9, 0.002, 4)
+        sol = solve_schrodinger(prior, delta_marginal(9, 1), delta_marginal(9, 9))
+        assert relative_entropy(measure_from_chain(sol.chain), prior) == \
+            pytest.approx(math.log(3) + 1500, rel=1e-12)
+
     def test_against_prior_chain(self, g9):
         prior = boltzmann_prior(g9, 1.0, 3)
-        from netbridge import measure_from_chain
         P = conditioned_boltzmann(g9, 1.0, 3)
         chain_route = relative_entropy(P, prior)
         measure_route = relative_entropy(P, measure_from_chain(prior))

@@ -25,7 +25,6 @@ from netbridge import (
     delta_marginal,
     endpoint_kernel,
     enumerate_feasible_paths,
-    measure_from_bridge,
     measure_from_chain,
     oracle_bridge,
     partition_function,
@@ -106,7 +105,7 @@ class TestOracleBridge:
     def test_matches_solver_reference_case(self, g9):
         prior = boltzmann_prior(g9, 1.0, 4)
         nu0, nuN = delta_marginal(9, 1), delta_marginal(9, 9)
-        direct = measure_from_bridge(solve_schrodinger(prior, nu0, nuN), g9)
+        direct = measure_from_chain(solve_schrodinger(prior, nu0, nuN).chain)
         brute = oracle_bridge(prior, g9, nu0, nuN)
         assert total_variation(direct, brute) <= 1e-10
 
@@ -117,7 +116,7 @@ class TestOracleBridge:
             w = rng.random(9) + 1e-3
             nu0 = w / w.sum()
             nuN = delta_marginal(9, 9)
-            direct = measure_from_bridge(solve_schrodinger(prior, nu0, nuN), g9)
+            direct = measure_from_chain(solve_schrodinger(prior, nu0, nuN).chain)
             brute = oracle_bridge(prior, g9, nu0, nuN)
             assert total_variation(direct, brute) <= 1e-10
 
@@ -150,7 +149,7 @@ class TestMeasureExtraction:
     def test_bridge_measure_total(self, g9):
         sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 4),
                                 delta_marginal(9, 1), delta_marginal(9, 9))
-        m = measure_from_bridge(sol, g9)
+        m = measure_from_chain(sol.chain)
         assert m.total() == pytest.approx(1.0, abs=1e-12)
         assert all(mass > 0 for mass in m.masses.values())
 
@@ -165,7 +164,7 @@ class TestMeasureExtraction:
         sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 4),
                                 delta_marginal(9, 1), delta_marginal(9, 9))
         with pytest.raises(EnumerationCapError):
-            measure_from_bridge(sol, g9, cap=2)
+            measure_from_chain(sol.chain, cap=2)
 
 
 class TestEqualLengthReport:

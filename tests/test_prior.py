@@ -16,6 +16,7 @@ from netbridge import (
     boltzmann_prior,
     chain_path_mass,
     enumerate_feasible_paths,
+    log_path_masses,
     partition_function,
     path_length,
     perron,
@@ -96,6 +97,35 @@ class TestPriorChain:
     def test_path_mass_zero_off_support(self, g9):
         prior = boltzmann_prior(g9, 1.0, 2)
         assert chain_path_mass(prior, (1, 9, 9)) == 0.0
+
+    def test_log_path_masses_in_one_call(self, g9):
+        T = 0.001  # every mass exp(-l/T)/9 underflows in linear arithmetic
+        prior = boltzmann_prior(g9, T, 3)
+        paths = enumerate_feasible_paths(g9, 3, source=1) + [(1, 9, 9, 9)]
+        got = log_path_masses(prior, paths)
+        want = [-math.log(9) - path_length(g9, p) / T for p in paths]
+        assert got == pytest.approx(want, rel=1e-15)
+        assert got[-1] == -math.inf  # 1 -> 9 is no edge
+        assert log_path_masses(prior, []).shape == (0,)
+
+    def test_log_path_masses_without_start_mass(self, g9):
+        base = boltzmann_prior(g9, 1.0, 2)
+        mu0 = np.zeros(9)
+        mu0[1] = 1.0
+        chain = PriorChain(base.edges, base.log_weights, mu0)
+        got = log_path_masses(chain, [(1, 2, 7), (2, 7, 9)])
+        assert got[0] == -math.inf and got[1] == pytest.approx(-2.0, rel=1e-15)
+
+    def test_log_path_masses_rejects_bad_paths(self, g9):
+        prior = boltzmann_prior(g9, 1.0, 2)
+        with pytest.raises(ValueError, match="path has 3 steps, prior expects 2"):
+            log_path_masses(prior, [(1, 2, 7), (1, 2, 7, 9)])
+        with pytest.raises(ValueError, match="node 10 out of range 1..9"):
+            log_path_masses(prior, [(1, 2, 7), (2, 7, 10)])
+        with pytest.raises(ValueError, match="node 0 out of range 1..9"):
+            chain_path_mass(prior, (0, 1, 2))
+        with pytest.raises(ValueError, match=f"node {2 ** 70} out of range 1..9"):
+            chain_path_mass(prior, (1, 2 ** 70, 2))
 
     def test_scale_annotations_change_true_mass(self, g9):
         base = boltzmann_prior(g9, 1.0, 2)
