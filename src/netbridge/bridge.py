@@ -230,41 +230,3 @@ def most_probable_paths(measure, source: int, target: int) -> list[Path]:
         return []
     return [p for p, m in zip(paths, log_m) if m >= top + np.log1p(-ARGMAX_REL_TOL)]
 
-
-def iterated_bridge_check(prior: PriorChain, first, second,
-                          config: SolverConfig | None = None) -> float:
-    """Max transition deviation between bridging over the prior directly
-    and bridging over an intermediate bridge.
-
-    `first` and `second` are (nu0, nuN) pairs.  The bridge of `second` over
-    the bridge of `first` must coincide with the bridge of `second` over the
-    original prior; returns the largest absolute entrywise difference.
-    """
-    nu0_1, nuN_1 = first
-    nu0_2, nuN_2 = second
-    inner = solve_schrodinger(prior, nu0_1, nuN_1, config).chain
-    direct = solve_schrodinger(prior, nu0_2, nuN_2, config)
-    nested = solve_schrodinger(inner, nu0_2, nuN_2, config)
-    return float(np.abs(direct.transitions - nested.transitions).max(initial=0.0))
-
-
-def restriction_ratio_check(prior: PriorChain, sol: BridgeSolution,
-                            source: int, target: int) -> float:
-    """Relative spread of the bridge/prior mass ratio over source->target paths.
-
-    For a bridge pinned by delta marginals the ratio is the same for every
-    path (it telescopes to a function of the endpoints only), so the spread
-    1 - min/max, taken from log ratios, should vanish up to solver tolerance.
-    """
-    paths = step_paths(prior.edges, prior.support, source, target)
-    log_q = log_path_masses(prior, paths)
-    positive = log_q > -np.inf
-    if np.count_nonzero(positive) < 2:
-        raise InfeasibleError(
-            f"need at least two {source}->{target} paths with positive prior mass"
-        )
-    log_r = log_path_masses(sol.chain, paths)[positive] - log_q[positive]
-    top = log_r.max()
-    if top == -np.inf:
-        return 0.0
-    return float(1.0 - np.exp(log_r.min() - top))

@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 1 usage/input errors, 2 infeasible instances,
 3 non-convergence (the solver's sweep cap, or a budget that needs a
-temperature at which the length does not evaluate).  Diagnostics go to
-stderr; documents go to --output (default stdout).  All floats in emitted
-documents are rounded to 12 significant digits before any derived quantity
-is computed from them, so a document is exactly self-consistent and two
-runs with the same configuration produce byte-identical output.  JSON has
-no literals for non-finite numbers; they are emitted as the strings "inf",
-"-inf", "nan".
+temperature at which the length does not evaluate), 4 a failed `verify`
+check.  Diagnostics go to stderr; documents go to --output (default
+stdout).  All floats in emitted documents are rounded to 12 significant
+digits before any derived quantity is computed from them, so a document is
+exactly self-consistent and two runs with the same configuration produce
+byte-identical output.  JSON has no literals for non-finite numbers; they
+are emitted as the strings "inf", "-inf", "nan".
 
 Every JSON document has the same line layout: "{", then one sorted
 top-level key per line as "key":value with each value written compactly,
@@ -38,16 +38,15 @@ import numpy as np
 
 from ._numeric import sig12
 from .bridge import BridgeSolution, SolverConfig, as_marginal, delta_marginal, \
-    iterated_bridge_check, most_probable_paths, restriction_ratio_check, \
     solve_schrodinger
 from .calibrate import TemperatureLimit, calibrate_temperature, temperature_sweep
 from .errors import ConvergenceError, EnumerationCapError, GraphFormatError, \
     InfeasibleBudgetError, InfeasibleError
 from .graph import DirectedGraph, enumerate_feasible_paths, g9_network, load_graph, \
-    path_counts, path_length, step_reach
+    path_counts, path_length
 from .metrics import PathMeasure, average_path_length, entropy, \
-    graph_efficiency_stats, measure_from_chain, total_variation
-from .oracle import conditioned_boltzmann, oracle_bridge, verify_equal_length_masses
+    graph_efficiency_stats, measure_from_chain
+from .oracle import oracle_bridge, verify_battery
 from .prior import boltzmann_prior
 
 LN2 = float(np.log(2.0))
@@ -373,8 +372,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-oracle", type=float, default=1e-10)
     p.add_argument("--tol-invariance", type=float, default=1e-9)
-    p.add_argument("--inject-error", action="store_true",
-                   help="test hook: corrupt the solved transitions first")
     return parser
 
 
@@ -568,105 +565,27 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _verify_checks(args, g, nu0, nuN, cfg):
-    N = args.horizon
-    T = args.temperature
-    checks = []
-
-    prior = boltzmann_prior(g, T, N) if N > 0 else None
-    if N == 0:
-        sol = solve_schrodinger(boltzmann_prior(g, 1.0, 0), nu0, nuN, cfg)
-        checks.append(("solver-marginals", float(np.abs(sol.marginals[0] - nu0).max()),
-                       10 * cfg.tol))
-        return checks, {"degenerate": True}
-    sol = solve_schrodinger(prior, nu0, nuN, cfg)
-    if args.inject_error:
-        bad = sol.transitions.copy()
-        i = int(np.argmax(sol.marginals[0] > 0))
-        bad[0, sol.edges.out_edges(i)] *= 0.5  # break row structure deliberately
-        sol = replace(sol, transitions=bad)
-
-    checks.append(("solver-marginals",
-                   max(float(np.abs(sol.marginals[0] - nu0).max()),
-                       float(np.abs(sol.marginals[N] - nuN).max())),
-                   max(10 * cfg.tol, 1e-10)))
-
-    bridge_measure = measure_from_chain(sol.chain)
-    checks.append(("path-normalization", abs(bridge_measure.total() - 1.0), 1e-10))
-
-    oracle_measure = oracle_bridge(prior, g, nu0, nuN)
-    checks.append(("solver-vs-oracle",
-                   total_variation(bridge_measure, oracle_measure),
-                   args.tol_oracle))
-
-    rng = np.random.default_rng(args.seed)
-    target = int(np.argmax(nuN)) + 1
-    kernel_ok = np.flatnonzero(
-        step_reach(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
-                   np.arange(1, g.n + 1) == target)[0])
-    dev = 0.0
-    if kernel_ok.size > 0 and args.pairs > 0:
-        for _ in range(args.pairs):
-            w1 = np.zeros(g.n)
-            w1[kernel_ok] = rng.random(kernel_ok.size) + 1e-3
-            w1 /= w1.sum()
-            w2 = np.zeros(g.n)
-            w2[kernel_ok] = rng.random(kernel_ok.size) + 1e-3
-            w2 /= w2.sum()
-            tgt = delta_marginal(g.n, target)
-            dev = max(dev, iterated_bridge_check(prior, (w1, tgt), (w2, tgt), cfg))
-    checks.append(("iterated-bridge", dev, args.tol_invariance))
-
-    source = int(np.argmax(nu0)) + 1
-    grid = _parse_grid(args.t_grid)
-    sets = []
-    for Tg in grid:
-        sol_t = solve_schrodinger(boltzmann_prior(g, Tg, N),
-                                  delta_marginal(g.n, source),
-                                  delta_marginal(g.n, target), cfg)
-        sets.append(tuple(most_probable_paths(sol_t, source, target)))
-        sets.append(tuple(most_probable_paths(
-            conditioned_boltzmann(g, Tg, N, source, target), source, target)))
-    checks.append(("argmax-path-invariance", 0.0 if len(set(sets)) == 1 else 1.0, 0.5))
-
-    sol_delta = solve_schrodinger(prior, delta_marginal(g.n, source),
-                                  delta_marginal(g.n, target), cfg)
-    try:
-        spread = restriction_ratio_check(prior, sol_delta, source, target)
-    except InfeasibleError:
-        spread = 0.0  # single-path pair: constancy is vacuous
-    checks.append(("restriction-ratio", spread, args.tol_invariance))
-
-    rep = verify_equal_length_masses(g, T, N, cfg)
-    checks.append(("equal-length-masses",
-                   max(rep.max_spread, 0.0 if rep.minimal_group_dominates else 1.0),
-                   args.tol_invariance))
-    meta = {"pairs_checked": rep.pairs_checked, "seed": args.seed}
-    return checks, meta
-
-
 def cmd_verify(args) -> int:
     g = _load_graph_arg(args.graph)
     nu0 = _resolve_marginal(g.n, args.from_delta, args.from_spec, "from")
     nuN = _resolve_marginal(g.n, args.to_delta, args.to_spec, "to")
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
-    checks, meta = _verify_checks(args, g, nu0, nuN, cfg)
-    lines = []
-    all_ok = True
-    for name, value, tol in checks:
-        ok = value <= tol
-        all_ok = all_ok and ok
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {value:.3e} (tol {tol:g})")
-    text = "\n".join(lines) + "\n"
+    grid = _parse_grid(args.t_grid)
+    sol = solve_schrodinger(boltzmann_prior(g, args.temperature, args.horizon),
+                            nu0, nuN, cfg)
+    checks, meta = verify_battery(g, sol, nu0, nuN, args.temperature, cfg, grid=grid,
+                                  pairs=args.pairs, seed=args.seed,
+                                  tol_oracle=args.tol_oracle,
+                                  tol_invariance=args.tol_invariance)
+    failed = [name for name, value, tol in checks if not value <= tol]
     if args.format == "json":
-        doc = {"all_passed": all_ok, "meta": meta,
-               "checks": [{"name": n, "value": sig12(v), "tolerance": sig12(t),
-                           "passed": v <= t} for n, v, t in checks]}
-        _emit_json(doc, args.output)
+        _emit_json({"all_passed": not failed, "meta": meta,
+                    "checks": [{"name": n, "value": sig12(v), "tolerance": sig12(t),
+                                "passed": v <= t} for n, v, t in checks]}, args.output)
     else:
-        _emit(text, args.output)
-    if not all_ok:
-        failed = [n for n, v, t in checks if v > t]
+        _emit("".join(f"[{'PASS' if v <= t else 'FAIL'}] {n}: {v:.3e} (tol {t:g})\n"
+                      for n, v, t in checks), args.output)
+    if failed:
         print("verification failed: " + ", ".join(failed), file=sys.stderr)
         return 4
     return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -104,6 +105,10 @@ class EdgeIndex:
             return shift + np.log(np.bincount(key, np.exp(vals - shift[key]), minlength=self.n))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """A finite directed graph with nonnegative edge lengths.
@@ -119,7 +124,7 @@ class DirectedGraph:
     lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise GraphFormatError(f"n must be a positive integer, got {self.n!r}")
         norm = []
         for k, edge in enumerate(self.edges):
@@ -127,16 +132,19 @@ class DirectedGraph:
                 u, v, length = edge
             except (TypeError, ValueError):
                 raise GraphFormatError(f"edges[{k}]: expected (from, to, length), got {edge!r}")
-            if not isinstance(u, int) or not isinstance(v, int):
+            if not _is_int(u) or not _is_int(v):
                 raise GraphFormatError(f"edges[{k}]: node ids must be integers, got {edge!r}")
             # checked here, not on an array: a node id need not fit in one
             if not (1 <= u <= self.n) or not (1 <= v <= self.n):
                 raise GraphFormatError(f"edges[{k}]: node out of range 1..{self.n}: ({u}, {v})")
+            if isinstance(length, bool) or not isinstance(length, (int, float)):
+                raise GraphFormatError(f"edges[{k}]: length must be a number, got {length!r}")
+            # false for NaN, and for an int too large for a double
+            if not 0 <= length <= sys.float_info.max:
+                raise GraphFormatError(f"edges[{k}]: length must be finite and >= 0, "
+                                       f"got {length!r}")
             norm.append((u, v, float(length)))
         lengths = np.array([w for _, _, w in norm], dtype=float)
-        for k in np.flatnonzero(~(np.isfinite(lengths) & (lengths >= 0.0)))[:1]:
-            raise GraphFormatError(f"edges[{k}]: length must be finite and >= 0, "
-                                   f"got {norm[k][2]!r}")
         try:
             index = EdgeIndex(self.n, np.array([u - 1 for u, _, _ in norm], dtype=np.intp),
                               np.array([v - 1 for _, v, _ in norm], dtype=np.intp))
@@ -169,9 +177,6 @@ def load_graph(text: str) -> DirectedGraph:
         raise GraphFormatError(f"top level must be an object, got {type(doc).__name__}")
     if "n" not in doc:
         raise GraphFormatError("missing required key 'n'")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise GraphFormatError(f"'n' must be a positive integer, got {n!r}")
     if "edges" not in doc:
         raise GraphFormatError("missing required key 'edges' "
                                "(use [] for an edgeless graph)")
@@ -185,15 +190,9 @@ def load_graph(text: str) -> DirectedGraph:
         for key in ("from", "to", "length"):
             if key not in item:
                 raise GraphFormatError(f"edges[{k}]: missing key '{key}'")
-        u, v, length = item["from"], item["to"], item["length"]
-        if not isinstance(u, int) or isinstance(u, bool):
-            raise GraphFormatError(f"edges[{k}]: 'from' must be an integer, got {u!r}")
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise GraphFormatError(f"edges[{k}]: 'to' must be an integer, got {v!r}")
-        if isinstance(length, bool) or not isinstance(length, (int, float)):
-            raise GraphFormatError(f"edges[{k}]: 'length' must be a number, got {length!r}")
-        edges.append((u, v, float(length)))
-    return DirectedGraph(n=n, edges=tuple(edges))
+        edges.append((item["from"], item["to"], item["length"]))
+    # DirectedGraph checks the values: ids, lengths and n
+    return DirectedGraph(n=doc["n"], edges=tuple(edges))
 
 
 def dump_graph(g: DirectedGraph) -> str:

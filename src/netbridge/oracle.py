@@ -1,11 +1,15 @@
-"""Brute-force reference solutions used to cross-check the main solver.
+"""Brute-force reference solutions and the cross-checks of the main solver.
 
 The oracle works on the n x n endpoint kernel instead of the (N+1)-stage
 potential recursion: the bridge factorizes into endpoint scalings of the
 prior, so alternating row/column scaling of the kernel followed by
 distributing each endpoint mass over the conditioned prior paths gives the
-exact answer by a deliberately different route.  Everything here enumerates
+exact answer by a deliberately different route.  The oracle enumerates
 paths and refuses oversized instances rather than sampling.
+
+`verify_battery` runs every cross-check on one solved bridge: agreement
+with the oracle, and the invariances the paper proves (iterated bridges,
+most probable paths, the restriction ratio, equal-length masses).
 """
 
 from __future__ import annotations
@@ -15,12 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import logsumexp
-from .bridge import SolverConfig, as_marginal, delta_marginal, solve_schrodinger
+from .bridge import BridgeSolution, SolverConfig, as_marginal, delta_marginal, \
+    most_probable_paths, solve_schrodinger
 from .errors import ConvergenceError, InfeasibleError, NetbridgeError
 from .graph import PATH_CAP, DirectedGraph, enumerate_feasible_paths, path_length, \
     require_routes, step_paths, step_reach
-from .metrics import PathMeasure, measure_from_chain
-from .prior import PriorChain, check_temperature, log_path_masses, ruelle_bowen_chain
+from .metrics import PathMeasure, measure_from_chain, total_variation
+from .prior import PriorChain, boltzmann_prior, check_temperature, log_path_masses, \
+    ruelle_bowen_chain
 
 ORACLE_TOL = 1e-13
 ORACLE_MAX_SWEEPS = 1_000_000
@@ -184,3 +190,113 @@ def verify_equal_length_masses(g: DirectedGraph, T: float, N: int,
         pairs_checked=pairs, max_spread=max_spread,
         minimal_group_dominates=dominates, max_dominance_gap=max_gap,
     )
+
+
+def iterated_bridge_check(prior: PriorChain, first, second,
+                          config: SolverConfig | None = None) -> float:
+    """Max transition deviation between bridging over the prior directly
+    and bridging over an intermediate bridge.
+
+    `first` and `second` are (nu0, nuN) pairs.  The bridge of `second` over
+    the bridge of `first` must coincide with the bridge of `second` over the
+    original prior; returns the largest absolute entrywise difference.
+    """
+    nu0_1, nuN_1 = first
+    nu0_2, nuN_2 = second
+    inner = solve_schrodinger(prior, nu0_1, nuN_1, config).chain
+    direct = solve_schrodinger(prior, nu0_2, nuN_2, config)
+    nested = solve_schrodinger(inner, nu0_2, nuN_2, config)
+    return float(np.abs(direct.transitions - nested.transitions).max(initial=0.0))
+
+
+def restriction_ratio_check(prior: PriorChain, sol: BridgeSolution,
+                            source: int, target: int) -> float:
+    """Relative spread of the bridge/prior mass ratio over source->target paths.
+
+    For a bridge pinned by delta marginals the ratio is the same for every
+    path (it telescopes to a function of the endpoints only), so the spread
+    1 - min/max, taken from log ratios, should vanish up to solver tolerance.
+    """
+    paths = step_paths(prior.edges, prior.support, source, target)
+    log_q = log_path_masses(prior, paths)
+    positive = log_q > -np.inf
+    if np.count_nonzero(positive) < 2:
+        raise InfeasibleError(
+            f"need at least two {source}->{target} paths with positive prior mass"
+        )
+    log_r = log_path_masses(sol.chain, paths)[positive] - log_q[positive]
+    top = log_r.max()
+    if top == -np.inf:
+        return 0.0
+    return float(1.0 - np.exp(log_r.min() - top))
+
+
+def verify_battery(g: DirectedGraph, sol: BridgeSolution, nu0, nuN, T: float,
+                   config: SolverConfig, *, grid, pairs: int, seed: int,
+                   tol_oracle: float, tol_invariance: float) -> tuple[list, dict]:
+    """Cross-check `sol`, the bridge of (nu0, nuN) over boltzmann_prior(g, T, N).
+
+    Returns (checks, meta), each check a (name, value, tolerance) triple
+    that passes when value <= tolerance: solver-marginals,
+    path-normalization, solver-vs-oracle, iterated-bridge (`pairs` random
+    source marginals drawn with `seed`), argmax-path-invariance (over the
+    temperatures of `grid`), restriction-ratio and equal-length-masses,
+    between the heaviest nodes of nu0 and nuN.  N == 0 checks the first only.
+    """
+    N = sol.N
+    gap = float(np.abs(sol.marginals[0] - nu0).max())
+    if N == 0:
+        return [("solver-marginals", gap, 10 * config.tol)], {"degenerate": True}
+    prior = boltzmann_prior(g, T, N)
+    checks = [("solver-marginals", max(gap, float(np.abs(sol.marginals[N] - nuN).max())),
+               max(10 * config.tol, 1e-10))]
+
+    bridge_measure = measure_from_chain(sol.chain)
+    checks.append(("path-normalization", abs(bridge_measure.total() - 1.0), 1e-10))
+    checks.append(("solver-vs-oracle",
+                   total_variation(bridge_measure, oracle_bridge(prior, g, nu0, nuN)),
+                   tol_oracle))
+
+    source = int(np.argmax(nu0)) + 1
+    target = int(np.argmax(nuN)) + 1
+    at_source = delta_marginal(g.n, source)
+    at_target = delta_marginal(g.n, target)
+    rng = np.random.default_rng(seed)
+    kernel_ok = np.flatnonzero(
+        step_reach(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
+                   at_target > 0)[0])
+
+    def random_marginal():
+        w = np.zeros(g.n)
+        w[kernel_ok] = rng.random(kernel_ok.size) + 1e-3
+        return w / w.sum()
+
+    dev = 0.0
+    if kernel_ok.size > 0:
+        for _ in range(pairs):
+            dev = max(dev, iterated_bridge_check(prior, (random_marginal(), at_target),
+                                                 (random_marginal(), at_target), config))
+    checks.append(("iterated-bridge", dev, tol_invariance))
+
+    sets = set()
+    for Tg in grid:
+        sol_t = solve_schrodinger(boltzmann_prior(g, Tg, N), at_source, at_target, config)
+        sets.add(tuple(most_probable_paths(sol_t, source, target)))
+        sets.add(tuple(most_probable_paths(
+            conditioned_boltzmann(g, Tg, N, source, target), source, target)))
+    checks.append(("argmax-path-invariance", 0.0 if len(sets) == 1 else 1.0, 0.5))
+
+    # a delta-pinned `sol` is already the bridge this check needs
+    if not (np.array_equal(nu0, at_source) and np.array_equal(nuN, at_target)):
+        sol = solve_schrodinger(prior, at_source, at_target, config)
+    try:
+        spread = restriction_ratio_check(prior, sol, source, target)
+    except InfeasibleError:
+        spread = 0.0  # single-path pair: constancy is vacuous
+    checks.append(("restriction-ratio", spread, tol_invariance))
+
+    rep = verify_equal_length_masses(g, T, N, config)
+    checks.append(("equal-length-masses",
+                   max(rep.max_spread, 0.0 if rep.minimal_group_dominates else 1.0),
+                   tol_invariance))
+    return checks, {"pairs_checked": rep.pairs_checked, "seed": seed}

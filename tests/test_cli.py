@@ -6,6 +6,7 @@ import json
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -644,14 +645,30 @@ class TestVerify:
         assert out.count("[PASS]") == 7
         assert "[FAIL]" not in out
 
-    def test_corrupted_transitions_fail_named_checks(self, capsys):
-        code, out, err = run(capsys, "verify", "--graph", "g9",
-                             "--from-delta", "1", "--to-delta", "9",
-                             "-N", "4", "-T", "1", "--pairs", "2",
-                             "--inject-error")
-        assert code != 0
-        assert "[FAIL]" in out
-        assert "solver-vs-oracle" in err
+    def test_inject_error_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--graph", "g9", "--from-delta", "1", "--to-delta", "9",
+                  "-N", "4", "-T", "1", "--inject-error"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --inject-error" in capsys.readouterr().err
+
+    def test_failed_check_exits_four_and_names_it(self, capsys):
+        solve = cli.solve_schrodinger
+
+        def corrupted(*args):
+            sol = solve(*args)
+            bad = sol.transitions.copy()
+            bad[0, sol.edges.out_edges(0)] *= 0.5
+            return replace(sol, transitions=bad)
+
+        # only the CLI's solve is corrupted; the battery's own solves are not
+        with mock.patch.object(cli, "solve_schrodinger", corrupted):
+            code, out, err = run(capsys, "verify", "--graph", "g9",
+                                 "--from-delta", "1", "--to-delta", "9",
+                                 "-N", "4", "-T", "1", "--pairs", "2")
+        assert code == 4
+        assert "[FAIL] solver-vs-oracle" in out
+        assert err.startswith("verification failed: ") and "solver-vs-oracle" in err
 
     def test_zero_horizon_trivial_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--graph", "g9",

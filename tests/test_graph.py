@@ -87,6 +87,22 @@ class TestConstruction:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             DirectedGraph(0, ())
+        with pytest.raises(GraphFormatError, match="n must be a positive integer"):
+            DirectedGraph(True, ())
+
+    @pytest.mark.parametrize("edge, reason", [
+        ((True, 2, 1.0), "node ids must be integers"),
+        ((2, 3, "1.5"), "length must be a number"),
+        ((2, 3, False), "length must be a number"),
+        ((2, 3, 10 ** 400), "length must be finite"),
+    ])
+    def test_graph_and_document_reject_the_same_edges(self, edge, reason):
+        with pytest.raises(GraphFormatError, match=rf"^edges\[1\]: {reason}"):
+            DirectedGraph(3, ((1, 2, 1.0), edge))
+        doc = {"n": 3, "edges": [{"from": u, "to": v, "length": w}
+                                 for u, v, w in ((1, 2, 1.0), edge)]}
+        with pytest.raises(GraphFormatError, match=rf"^edges\[1\]: {reason}"):
+            load_graph(json.dumps(doc))
 
 
 class TestDocuments:

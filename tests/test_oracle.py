@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from netbridge import (
     EnumerationCapError,
     InfeasibleError,
     PathMeasure,
+    SolverConfig,
     as_marginal,
     boltzmann_prior,
     conditioned_boltzmann,
@@ -31,6 +33,7 @@ from netbridge import (
     path_length,
     solve_schrodinger,
     total_variation,
+    verify_battery,
     verify_equal_length_masses,
 )
 from conftest import random_graph
@@ -184,6 +187,50 @@ class TestEqualLengthReport:
         for T in (0.2, 2.0, 25.0):
             rep = verify_equal_length_masses(g9, T, 4)
             assert rep.max_spread <= 1e-10
+
+
+CHECK_NAMES = ["solver-marginals", "path-normalization", "solver-vs-oracle",
+               "iterated-bridge", "argmax-path-invariance", "restriction-ratio",
+               "equal-length-masses"]
+
+
+def run_battery(g, nu0, nuN, N, sol=None):
+    """verify_battery at T=1 with the CLI's tolerances; solves unless handed `sol`."""
+    cfg = SolverConfig()
+    if sol is None:
+        sol = solve_schrodinger(boltzmann_prior(g, 1.0, N), nu0, nuN, cfg)
+    return verify_battery(g, sol, nu0, nuN, 1.0, cfg, grid=[0.5, 1.0, 2.0], pairs=2,
+                          seed=0, tol_oracle=1e-10, tol_invariance=1e-9)
+
+
+class TestVerifyBattery:
+    def test_solved_bridge_passes_every_check_in_order(self, g9):
+        checks, meta = run_battery(g9, delta_marginal(9, 1), delta_marginal(9, 9), 4)
+        assert [name for name, _, _ in checks] == CHECK_NAMES
+        assert all(value <= tol for _, value, tol in checks), checks
+        assert meta == {"pairs_checked": 10, "seed": 0}
+
+    def test_corrupted_transitions_fail_solver_vs_oracle(self, g9):
+        nu0, nuN = delta_marginal(9, 1), delta_marginal(9, 9)
+        sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 4), nu0, nuN)
+        bad = sol.transitions.copy()
+        bad[0, sol.edges.out_edges(0)] *= 0.5  # the source's step-0 rows lose half
+        checks, _ = run_battery(g9, nu0, nuN, 4, replace(sol, transitions=bad))
+        value, tol = {name: (v, t) for name, v, t in checks}["solver-vs-oracle"]
+        assert value > tol
+
+    def test_diffuse_source_checks_its_heaviest_node(self, g9):
+        # nu0 is no delta, so the restriction ratio needs a 1 -> 9 bridge of its own
+        nu0 = as_marginal([0.6, 0.4, 0, 0, 0, 0, 0, 0, 0], 9)
+        checks, _ = run_battery(g9, nu0, delta_marginal(9, 9), 4)
+        assert [name for name, _, _ in checks] == CHECK_NAMES
+        assert all(value <= tol for _, value, tol in checks), checks
+
+    def test_zero_horizon_checks_the_marginal_only(self, g9):
+        nu = delta_marginal(9, 3)
+        checks, meta = run_battery(g9, nu, nu, 0)
+        assert checks == [("solver-marginals", 0.0, 1e-11)]
+        assert meta == {"degenerate": True}
 
 
 OPTIMIZED_CHECKS = """
