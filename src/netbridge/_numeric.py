@@ -35,12 +35,12 @@ def sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def logsumexp(a) -> float:
-    """log(sum(exp(a))) without overflow; -inf for an empty or all -inf input."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return float("-inf")
-    m = a.max()
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.exp(a - m).sum()))
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over `axis` (all of `a`, as a float, if None) without
+    overflow; -inf for an empty or all -inf reduction."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    m = a.max(axis=axis, keepdims=True, initial=-np.inf)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
+    return float(out) if axis is None else out

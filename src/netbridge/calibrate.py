@@ -18,9 +18,9 @@ import numpy as np
 from .bridge import BridgeSolution, SolverConfig, as_marginal, solve_schrodinger
 from .errors import ConvergenceError, InfeasibleBudgetError, InfeasibleError, \
     NetbridgeError
-from .graph import PATH_CAP, DirectedGraph, Path, path_length
+from .graph import DirectedGraph, Path, path_length
 from .metrics import PathMeasure, average_path_length, entropy, measure_from_chain
-from .prior import boltzmann_prior, log_path_masses
+from .prior import boltzmann_prior, check_temperature, log_path_masses
 
 BRACKET_START = (1e-2, 1e2)
 BRACKET_LIMIT = (1e-6, 1e6)
@@ -285,8 +285,7 @@ def temperature_sweep(g: DirectedGraph, nu0, nuN, N: int, temperatures,
     if not temps:
         raise ValueError("temperature grid is empty")
     for T in temps:
-        if not (T > 0) or not np.isfinite(T):
-            raise ValueError(f"temperatures must be positive and finite, got {T}")
+        check_temperature(T)
     tracked = [tuple(int(x) for x in p) for p in (tracked_paths or [])]
     nu0 = as_marginal(nu0, g.n)
     nuN = as_marginal(nuN, g.n)
@@ -324,8 +323,7 @@ class TransportApproximation:
 
 def omt_approximation(g: DirectedGraph, nu0, nuN, N: int,
                       T_small: float | None = None,
-                      config: SolverConfig | None = None,
-                      cap: int = PATH_CAP) -> TransportApproximation:
+                      config: SolverConfig | None = None) -> TransportApproximation:
     """Approximate the optimal-transport limit by solving at a small temperature.
 
     The default temperature is 0.05 times the smallest positive edge length.
@@ -340,11 +338,9 @@ def omt_approximation(g: DirectedGraph, nu0, nuN, N: int,
             raise InfeasibleError("all edges have zero length; the transport "
                                   "limit is degenerate")
         T_small = 0.05 * min(positive)
-    T_small = float(T_small)
-    if not (T_small > 0):
-        raise ValueError(f"T_small must be positive, got {T_small}")
+    T_small = check_temperature(T_small)
     sol = solve_schrodinger(boltzmann_prior(g, T_small, N), nu0, nuN, config)
-    measure = measure_from_chain(sol.chain, cap)
+    measure = measure_from_chain(sol.chain)
     lengths = {p: path_length(g, p) for p in measure.masses}
     lmin = min(lengths.values())
     minimal = tuple(sorted(p for p, l in lengths.items() if l <= lmin + 1e-9))

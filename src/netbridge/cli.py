@@ -537,7 +537,7 @@ def cmd_oracle(args) -> int:
     nu0 = _resolve_marginal(g.n, args.from_delta, args.from_spec, "from")
     nuN = _resolve_marginal(g.n, args.to_delta, args.to_spec, "to")
     prior = boltzmann_prior(g, args.temperature, args.horizon)
-    measure = oracle_bridge(prior, g, nu0, nuN)
+    measure = oracle_bridge(prior, nu0, nuN)
     rounded = PathMeasure(args.horizon, {p: sig12(m)
                                          for p, m in sorted(measure.masses.items())})
     masses = {_path_key(p): m for p, m in rounded.masses.items()}

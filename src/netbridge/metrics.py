@@ -14,7 +14,7 @@ import numpy as np
 from .bridge import BridgeSolution
 from .graph import PATH_CAP, DirectedGraph, Path, path_length, shortest_path_matrix, \
     step_paths
-from .prior import PriorChain, log_path_masses
+from .prior import PriorChain, check_temperature, log_path_masses
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,7 @@ def relative_entropy(P: PathMeasure, Q) -> float:
 
 def free_energy(measure, T: float, g: DirectedGraph) -> EfficiencyReport:
     """Report L, S and F = L - T*S for a policy at temperature T."""
-    T = float(T)
-    if not (T > 0) or not np.isfinite(T):
-        raise ValueError(f"temperature must be positive and finite, got {T}")
+    T = check_temperature(T)
     L = average_path_length(measure, g)
     S = entropy(measure)
     return EfficiencyReport(

@@ -4,8 +4,10 @@ The oracle works on the n x n endpoint kernel instead of the (N+1)-stage
 potential recursion: the bridge factorizes into endpoint scalings of the
 prior, so alternating row/column scaling of the kernel followed by
 distributing each endpoint mass over the conditioned prior paths gives the
-exact answer by a deliberately different route.  The oracle enumerates
-paths and refuses oversized instances rather than sampling.
+exact answer by a deliberately different route.  The kernel is summed in
+log space from the prior's paths, enumerated once, and scaled on log
+potentials, so no weight underflows and the oracle checks the solver at any
+temperature.  It refuses instances past PATH_CAP paths rather than sampling.
 
 `verify_battery` runs every cross-check on one solved bridge: agreement
 with the oracle, and the invariances the paper proves (iterated bridges,
@@ -22,8 +24,8 @@ from ._numeric import logsumexp
 from .bridge import BridgeSolution, SolverConfig, as_marginal, delta_marginal, \
     most_probable_paths, solve_schrodinger
 from .errors import ConvergenceError, InfeasibleError, NetbridgeError
-from .graph import PATH_CAP, DirectedGraph, enumerate_feasible_paths, path_length, \
-    require_routes, step_paths, step_reach
+from .graph import DirectedGraph, enumerate_feasible_paths, path_length, require_routes, \
+    step_paths, step_reach
 from .metrics import PathMeasure, measure_from_chain, total_variation
 from .prior import PriorChain, boltzmann_prior, check_temperature, log_path_masses, \
     ruelle_bowen_chain
@@ -34,90 +36,94 @@ ORACLE_MAX_SWEEPS = 1_000_000
 
 @dataclass(frozen=True)
 class EndpointKernel:
-    """n x n matrix G with G[i, j] = total transition-product mass of i -> j paths."""
+    """The prior's support paths as a (P, N+1) array, their log transition
+    products (mu0 excluded) and log_matrix[i, j], the log total weight of
+    the i -> j paths (-inf where none joins them)."""
 
-    N: int
-    matrix: np.ndarray
-
-
-def _prior_paths(prior: PriorChain, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """The paths on the prior's support as a (P, N+1) array, with their
-    transition-product weights (mu0 excluded)."""
-    paths = step_paths(prior.edges, prior.support, cap=cap)
-    unit = PriorChain(prior.edges, prior.log_weights, np.ones(prior.n))
-    return (np.array(paths, dtype=np.intp).reshape(len(paths), prior.N + 1),
-            np.exp(log_path_masses(unit, paths)))
+    paths: np.ndarray
+    log_weights: np.ndarray
+    log_matrix: np.ndarray
 
 
-def endpoint_kernel(prior: PriorChain, cap: int = PATH_CAP) -> EndpointKernel:
+def endpoint_kernel(prior: PriorChain) -> EndpointKernel:
     """Aggregate the prior over interior nodes, keeping endpoints only.
 
     Computed twice on purpose: once by enumerating paths over the prior's
-    support and once as the ordered matrix product of the step matrices.
-    The two routes must agree to 1e-12; disagreement means a bookkeeping
-    bug, so it raises NetbridgeError rather than returning either.
+    support and once as the ordered log-domain product of the step
+    matrices.  The two must share their support and agree to 1e-12 relative
+    on every log entry; disagreement means a bookkeeping bug, so it raises
+    NetbridgeError rather than returning either.
     """
     n = prior.n
-    paths, weights = _prior_paths(prior, cap)
-    by_enum = np.zeros((n, n))
-    np.add.at(by_enum, (paths[:, 0] - 1, paths[:, -1] - 1), weights)
-    prod = np.eye(n)
+    paths = np.array(step_paths(prior.edges, prior.support),
+                     dtype=np.intp).reshape(-1, prior.N + 1)
+    log_w = log_path_masses(PriorChain(prior.edges, prior.log_weights, np.ones(n)), paths)
+    log_G = np.full((n, n), -np.inf)
+    np.logaddexp.at(log_G, (paths[:, 0] - 1, paths[:, -1] - 1), log_w)
+    prod = np.where(np.eye(n, dtype=bool), 0.0, -np.inf)
+    rows = max(1, 2**22 // n**2)  # bounds each (rows, n, n) temporary at 32 MB
     for t in range(prior.N):
-        prod = prod @ prior.matrix(t)
-    gap = float(np.abs(by_enum - prod).max())
-    scale = max(1.0, float(np.abs(prod).max()))
-    if not gap <= 1e-12 * scale:
-        raise NetbridgeError(f"endpoint kernel routes disagree by {gap}")
-    return EndpointKernel(N=prior.N, matrix=prod)
+        step = np.full((n, n), -np.inf)
+        step[prior.edges.src, prior.edges.dst] = prior.log_weights[t]
+        prod = np.concatenate([logsumexp(prod[r:r + rows, :, None] + step, axis=1)
+                               for r in range(0, n, rows)])
+    on = prod > -np.inf
+    gap = float("inf") if not np.array_equal(on, log_G > -np.inf) else float(
+        (np.abs(log_G[on] - prod[on]) / np.maximum(1.0, np.abs(prod[on]))).max(initial=0.0))
+    if not gap <= 1e-12:
+        raise NetbridgeError(f"endpoint kernel routes disagree by {gap} (relative, in log)")
+    return EndpointKernel(paths=paths, log_weights=log_w, log_matrix=log_G)
 
 
-def oracle_bridge(prior: PriorChain, g: DirectedGraph, nu0, nuN,
-                  cap: int = PATH_CAP) -> PathMeasure:
+def oracle_bridge(prior: PriorChain, nu0, nuN) -> PathMeasure:
     """Solve the two-marginal problem by scaling the endpoint kernel.
 
-    Finds positive diagonal scalings a, b with diag(a) G diag(b) having row
-    sums nu0 and column sums nuN, then spreads each endpoint mass over the
-    conditioned prior paths.  Exact or absent: instances whose enumeration
-    exceeds `cap` are refused.
+    Finds log scalings a, b such that exp(a_i + log G_ij + b_j) has row sums
+    nu0 and column sums nuN, by alternating log-sum-exp sweeps over the
+    supported block, then spreads each endpoint mass over the conditioned
+    prior paths.  Routes are decided on the kernel's support, so underflow
+    never reads as infeasibility.
     """
     n = prior.n
-    nu0 = as_marginal(nu0, n)
-    nuN = as_marginal(nuN, n)
+    nu0, nuN = as_marginal(nu0, n), as_marginal(nuN, n)
     if prior.N == 0:
         if float(np.abs(nu0 - nuN).max()) > 1e-12:
             raise InfeasibleError("N=0 requires identical endpoint marginals")
         masses = {(i + 1,): float(nu0[i]) for i in np.flatnonzero(nu0 > 0)}
         return PathMeasure(0, masses)
-    G = endpoint_kernel(prior, cap=cap).matrix
-    supp0 = nu0 > 0.0
-    suppN = nuN > 0.0
-    require_routes(G[np.ix_(supp0, suppN)] > 0.0, supp0, suppN, prior.N)
-    a = np.zeros(n)
-    b = np.where(suppN, 1.0, 0.0)
+    kernel = endpoint_kernel(prior)
+    supp0, suppN = nu0 > 0.0, nuN > 0.0
+    K = kernel.log_matrix[np.ix_(supp0, suppN)]
+    require_routes(K > -np.inf, supp0, suppN, prior.N)
+    # log arithmetic resolves a marginal to a few ulps of the largest |log G|
+    tol = ORACLE_TOL + 4 * np.finfo(float).eps * float(np.abs(K).max())
+    log_nu0, log_nuN = np.log(nu0[supp0]), np.log(nuN[suppN])
+    row = logsumexp(K, axis=1)
     for _ in range(ORACLE_MAX_SWEEPS):
-        Gb = G @ b
-        a = np.where(supp0, nu0 / np.where(supp0, Gb, 1.0), 0.0)
-        Ga = G.T @ a
-        b = np.where(suppN, nuN / np.where(suppN, Ga, 1.0), 0.0)
-        row_err = float(np.abs(a * (G @ b) - nu0).max())
-        col_err = float(np.abs(b * (G.T @ a) - nuN).max())
-        if max(row_err, col_err) <= ORACLE_TOL:
+        a = log_nu0 - row
+        b = log_nuN - logsumexp(K + a[:, None], axis=0)  # columns now fit nuN
+        row = logsumexp(K + b, axis=1)
+        err = float(np.abs(np.exp(a + row) - nu0[supp0]).max())
+        if err <= tol:
             break
     else:
         raise ConvergenceError(
             f"kernel scaling did not converge in {ORACLE_MAX_SWEEPS} sweeps",
-            residual=max(row_err, col_err), iterations=ORACLE_MAX_SWEEPS,
+            residual=err, iterations=ORACLE_MAX_SWEEPS,
         )
-    paths, weights = _prior_paths(prior, cap)
-    masses = a[paths[:, 0] - 1] * b[paths[:, -1] - 1] * weights
+    log_a = np.full(n, -np.inf)
+    log_b = log_a.copy()
+    log_a[supp0], log_b[suppN] = a, b
+    paths = kernel.paths
+    masses = np.exp(log_a[paths[:, 0] - 1] + log_b[paths[:, -1] - 1] + kernel.log_weights)
     keep = np.flatnonzero(masses > 0.0)
     return PathMeasure(prior.N, dict(zip(map(tuple, paths[keep].tolist()),
                                          masses[keep].tolist())))
 
 
 def conditioned_boltzmann(g: DirectedGraph, T: float, N: int,
-                          source: int | None = None, target: int | None = None,
-                          cap: int = PATH_CAP) -> PathMeasure:
+                          source: int | None = None,
+                          target: int | None = None) -> PathMeasure:
     """Boltzmann measure exp(-l/T)/Z over the feasible N-step paths, optionally
     restricted to those leaving `source` and/or entering `target`.
 
@@ -125,7 +131,7 @@ def conditioned_boltzmann(g: DirectedGraph, T: float, N: int,
     bridge over the Boltzmann prior; normalization happens in log space.
     """
     check_temperature(T)
-    paths = enumerate_feasible_paths(g, N, source=source, target=target, cap=cap)
+    paths = enumerate_feasible_paths(g, N, source=source, target=target)
     if not paths:
         raise InfeasibleError(f"no feasible {N}-step path"
                               + (f" from node {source}" if source is not None else "")
@@ -146,8 +152,7 @@ class EqualLengthReport:
 
 
 def verify_equal_length_masses(g: DirectedGraph, T: float, N: int,
-                               config: SolverConfig | None = None,
-                               cap: int = PATH_CAP) -> EqualLengthReport:
+                               config: SolverConfig | None = None) -> EqualLengthReport:
     """Bridge every connected delta pair over the stationary chain and check
     that paths of equal length carry equal mass.
 
@@ -171,7 +176,7 @@ def verify_equal_length_masses(g: DirectedGraph, T: float, N: int,
             sol = solve_schrodinger(prior, delta_marginal(g.n, i),
                                     delta_marginal(g.n, j), cfg)
             groups: dict[float, list[float]] = {}
-            for p, m in measure_from_chain(sol.chain, cap).masses.items():
+            for p, m in measure_from_chain(sol.chain).masses.items():
                 groups.setdefault(round(path_length(g, p), 9), []).append(m)
             for members in groups.values():
                 top = max(members)
@@ -254,7 +259,7 @@ def verify_battery(g: DirectedGraph, sol: BridgeSolution, nu0, nuN, T: float,
     bridge_measure = measure_from_chain(sol.chain)
     checks.append(("path-normalization", abs(bridge_measure.total() - 1.0), 1e-10))
     checks.append(("solver-vs-oracle",
-                   total_variation(bridge_measure, oracle_bridge(prior, g, nu0, nuN)),
+                   total_variation(bridge_measure, oracle_bridge(prior, nu0, nuN)),
                    tol_oracle))
 
     source = int(np.argmax(nu0)) + 1

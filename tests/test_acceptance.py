@@ -213,7 +213,7 @@ def test_solver_agrees_with_brute_force_oracle(g9, g9_long79):
         nu0, nuN = delta_marginal(g.n, 1), delta_marginal(g.n, 9)
         sol = solve_schrodinger(prior, nu0, nuN)
         tv = total_variation(measure_from_chain(sol.chain),
-                             oracle_bridge(prior, g, nu0, nuN))
+                             oracle_bridge(prior, nu0, nuN))
         worst = max(worst, tv)
         cases += 1
     rng = np.random.default_rng(8_50)
@@ -238,7 +238,7 @@ def test_solver_agrees_with_brute_force_oracle(g9, g9_long79):
         prior = boltzmann_prior(g, T, N)
         sol = solve_schrodinger(prior, nu0, nuN)
         tv = total_variation(measure_from_chain(sol.chain),
-                             oracle_bridge(prior, g, nu0, nuN))
+                             oracle_bridge(prior, nu0, nuN))
         worst = max(worst, tv)
         cases += 1
     report("solver and enumeration oracle agree on 56 instances",

@@ -30,6 +30,7 @@ from netbridge import (
     marginal_flow,
     measure_from_chain,
     most_probable_paths,
+    oracle_bridge,
     path_length,
     path_probability,
     restriction_ratio_check,
@@ -166,10 +167,13 @@ class TestSolve:
     @pytest.mark.parametrize("graph, N", [("g9", 4), ("g9_long79", 3), ("g9_long79", 4)])
     @pytest.mark.parametrize("T", [1e-3, 2e-3, 1e-2])
     def test_cold_bridge_matches_conditioned_boltzmann(self, graph, N, T, request):
+        # and the endpoint-kernel oracle, whose 1 -> 9 kernel entry is 0.0
+        # in linear weights below T ~ 0.004
         g = request.getfixturevalue(graph)
-        sol = solve_schrodinger(boltzmann_prior(g, T, N), delta(9, 1), delta(9, 9))
-        want = conditioned_boltzmann(g, T, N, 1, 9)
-        assert total_variation(measure_from_chain(sol.chain), want) <= 1e-10
+        prior = boltzmann_prior(g, T, N)
+        got = measure_from_chain(solve_schrodinger(prior, delta(9, 1), delta(9, 9)).chain)
+        assert total_variation(got, conditioned_boltzmann(g, T, N, 1, 9)) <= 1e-10
+        assert total_variation(got, oracle_bridge(prior, delta(9, 1), delta(9, 9))) <= 1e-10
 
     def test_edge_longer_than_745_T_keeps_its_route(self):
         # exp(-(2.0 - 0.1)/0.001) is 0.0 in linear weights, which dropped
@@ -206,9 +210,10 @@ class TestSolve:
     @settings(max_examples=150)
     @given(st.data(), st.integers(1, 4), st.floats(-3.0, 3.0))
     def test_routes_in_the_prior_support_are_feasible(self, data, N, log10_T):
-        # differential check against the enumeration oracle: the solver
-        # matches the conditioned Boltzmann measure at every temperature,
-        # and never calls a pair joined in the prior's support infeasible
+        # differential check against the enumeration oracles: the solver
+        # matches the conditioned Boltzmann measure and the kernel-scaling
+        # bridge at every temperature, and neither calls a pair joined in
+        # the prior's support infeasible
         n = data.draw(st.integers(2, 6))
         lengths = data.draw(st.lists(st.none() | st.floats(0.0, 3.0),
                                      min_size=n * n, max_size=n * n))
@@ -220,9 +225,10 @@ class TestSolve:
         T = 10.0 ** log10_T
         prior = boltzmann_prior(g, T, N)
         assume(step_paths(prior.edges, prior.support, src, tgt))
-        sol = solve_schrodinger(prior, delta(n, src), delta(n, tgt))
-        want = conditioned_boltzmann(g, T, N, src, tgt)
-        assert total_variation(measure_from_chain(sol.chain), want) <= 1e-10
+        nu0, nuN = delta(n, src), delta(n, tgt)
+        got = measure_from_chain(solve_schrodinger(prior, nu0, nuN).chain)
+        assert total_variation(got, conditioned_boltzmann(g, T, N, src, tgt)) <= 1e-10
+        assert total_variation(got, oracle_bridge(prior, nu0, nuN)) <= 1e-10
 
     def test_chain_carries_the_path_masses(self, g9):
         sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 4), delta(9, 1), delta(9, 9))

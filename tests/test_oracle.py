@@ -44,17 +44,24 @@ class TestEndpointKernel:
         # four-step 1 -> 9 routes: three of length 3 (self-loop padded),
         # four of length 4
         K = endpoint_kernel(boltzmann_prior(g9, 1.0, 4))
-        want = 3 * math.exp(-3.0) + 4 * math.exp(-4.0)
-        assert K.matrix[0, 8] == pytest.approx(want, rel=1e-12)
+        want = math.log(3 * math.exp(-3.0) + 4 * math.exp(-4.0))
+        assert K.log_matrix[0, 8] == pytest.approx(want, rel=1e-12)
+        assert K.paths.shape == (K.log_weights.size, 5)
 
     def test_unreachable_entry_zero(self, g9):
         K = endpoint_kernel(boltzmann_prior(g9, 1.0, 3))
-        assert K.matrix[8, 0] == 0.0
+        assert K.log_matrix[8, 0] == -math.inf
 
     def test_temperature_dependence(self, g9):
-        cold = endpoint_kernel(boltzmann_prior(g9, 0.25, 4)).matrix[0, 8]
-        want = 3 * math.exp(-12.0) + 4 * math.exp(-16.0)
+        cold = endpoint_kernel(boltzmann_prior(g9, 0.25, 4)).log_matrix[0, 8]
+        want = math.log(3 * math.exp(-12.0) + 4 * math.exp(-16.0))
         assert cold == pytest.approx(want, rel=1e-11)
+
+    def test_entry_that_underflows_in_linear_weights(self, g9):
+        # 3e^{-1500} + 4e^{-2000} is 0.0 as a float; its log is not
+        K = endpoint_kernel(boltzmann_prior(g9, 0.002, 4))
+        want = np.logaddexp(math.log(3) - 1500, math.log(4) - 2000)
+        assert K.log_matrix[0, 8] == pytest.approx(want, rel=1e-14)
 
     def test_random_graph_matches_enumeration(self):
         rng = np.random.default_rng(31)
@@ -65,11 +72,12 @@ class TestEndpointKernel:
             K = endpoint_kernel(boltzmann_prior(g, T, N))
             for i in range(1, g.n + 1):
                 for j in range(1, g.n + 1):
-                    want = sum(math.exp(-path_length(g, p) / T)
-                               for p in enumerate_feasible_paths(
-                                   g, N, source=i, target=j))
-                    assert K.matrix[i - 1, j - 1] == \
-                        pytest.approx(want, rel=1e-11, abs=1e-300)
+                    total = math.fsum(math.exp(-path_length(g, p) / T)
+                                      for p in enumerate_feasible_paths(
+                                          g, N, source=i, target=j))
+                    want = math.log(total) if total > 0 else -math.inf
+                    assert K.log_matrix[i - 1, j - 1] == \
+                        pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
 class TestConditionedBoltzmann:
@@ -109,7 +117,7 @@ class TestOracleBridge:
         prior = boltzmann_prior(g9, 1.0, 4)
         nu0, nuN = delta_marginal(9, 1), delta_marginal(9, 9)
         direct = measure_from_chain(solve_schrodinger(prior, nu0, nuN).chain)
-        brute = oracle_bridge(prior, g9, nu0, nuN)
+        brute = oracle_bridge(prior, nu0, nuN)
         assert total_variation(direct, brute) <= 1e-10
 
     def test_matches_solver_diffuse_marginals(self, g9):
@@ -120,13 +128,13 @@ class TestOracleBridge:
             nu0 = w / w.sum()
             nuN = delta_marginal(9, 9)
             direct = measure_from_chain(solve_schrodinger(prior, nu0, nuN).chain)
-            brute = oracle_bridge(prior, g9, nu0, nuN)
+            brute = oracle_bridge(prior, nu0, nuN)
             assert total_variation(direct, brute) <= 1e-10
 
     def test_marginals_recovered(self, g9):
         prior = boltzmann_prior(g9, 1.0, 3)
         nu0, nuN = delta_marginal(9, 1), delta_marginal(9, 9)
-        m = oracle_bridge(prior, g9, nu0, nuN)
+        m = oracle_bridge(prior, nu0, nuN)
         start = np.zeros(9)
         end = np.zeros(9)
         for p, mass in m.masses.items():
@@ -135,15 +143,37 @@ class TestOracleBridge:
         assert np.abs(start - nu0).max() <= 1e-12
         assert np.abs(end - nuN).max() <= 1e-12
 
+    @pytest.mark.parametrize("T", [0.004, 0.002, 1e-3, 1e-6])
+    def test_cold_delta_bridge_matches_solver(self, g9, T):
+        # below T ~ 0.004 the linear kernel entry for 1 -> 9 underflows to 0
+        prior = boltzmann_prior(g9, T, 4)
+        nu0, nuN = delta_marginal(9, 1), delta_marginal(9, 9)
+        direct = measure_from_chain(solve_schrodinger(prior, nu0, nuN).chain)
+        assert total_variation(direct, oracle_bridge(prior, nu0, nuN)) <= 1e-12
+
+    def test_diffuse_marginals_recovered_at_one_millionth(self, g9):
+        # |log G| is about 3e6, where a marginal read back through log
+        # arithmetic resolves only to about 1e-9; the scaling still stops
+        nu0 = as_marginal([0.3, 0.3, 0.4, 0, 0, 0, 0, 0, 0], 9)
+        nuN = delta_marginal(9, 9)
+        m = oracle_bridge(boltzmann_prior(g9, 1e-6, 4), nu0, nuN)
+        start = np.zeros(9)
+        end = np.zeros(9)
+        for p, mass in m.masses.items():
+            start[p[0] - 1] += mass
+            end[p[-1] - 1] += mass
+        assert np.abs(start - nu0).max() <= 1e-8
+        assert np.abs(end - nuN).max() <= 1e-8
+
     def test_infeasible_rejected(self, g9):
         prior = boltzmann_prior(g9, 1.0, 2)
         with pytest.raises(InfeasibleError):
-            oracle_bridge(prior, g9, delta_marginal(9, 1), delta_marginal(9, 9))
+            oracle_bridge(prior, delta_marginal(9, 1), delta_marginal(9, 9))
 
     def test_zero_horizon(self, g9):
         prior = boltzmann_prior(g9, 1.0, 0)
         nu = as_marginal([0.4, 0.6, 0, 0, 0, 0, 0, 0, 0], 9)
-        m = oracle_bridge(prior, g9, nu, nu)
+        m = oracle_bridge(prior, nu, nu)
         assert m.masses[(1,)] == pytest.approx(0.4, abs=1e-12)
         assert m.masses[(2,)] == pytest.approx(0.6, abs=1e-12)
 
