@@ -10,8 +10,13 @@ is the natural scale-invariant contraction metric for this iteration.
 The loop runs on log potentials over the prior's log edge weights, with a
 log-sum-exp over each node's out-edges (backward) or in-edges (forward), so
 no temperature underflows a potential: one is -inf only at a node that no
-supported route reaches.  The solved transitions are an (N, E) array on the
-prior's edges, so memory and work per sweep grow with N * E, not N * n^2.
+supported route reaches.  A solved bridge is itself a PriorChain started
+from nu0: its log weights are the log transitions the loop forms, -inf
+exactly off the bridge's support, so a bridge can be bridged again and its
+path masses never underflow.  The linear transitions, the exp of those
+logs, are kept beside them for flow sums and documents.  Both are (N, E)
+arrays on the prior's edges, so memory and work per sweep grow with N * E,
+not N * n^2.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError
-from .graph import EdgeIndex, Path, require_routes, step_paths, step_reach
+from .graph import Path, require_routes, step_paths, step_reach
 from .prior import PriorChain, chain_path_mass, log_path_masses
 
 ARGMAX_REL_TOL = 1e-9  # paths within this share of the top mass tie for it
@@ -43,35 +48,22 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class BridgeSolution:
-    """Solved bridge: per-edge transitions and time marginals.
+class BridgeSolution(PriorChain):
+    """Solved bridge: a chain from mu0 = nu0 with its time marginals.
 
-    transitions[t, e] is the probability of stepping along edge e of
-    `edges` at step t.  Summed over a node's out-edges it is 1 on nodes
-    carrying marginal mass, and it is zero on nodes from which no
-    supported route reaches nuN; marginals is (N+1) x n, marginals[0]
-    equals nu0 to rounding and marginals[N] matches nuN within `residual`.
+    log_weights[t, e] is the log probability of stepping along edge e of
+    `edges` at step t, -inf exactly where the bridge puts no mass, and
+    transitions holds its exp.  Summed over a node's out-edges a transition
+    row is 1 on nodes carrying marginal mass, and it is zero on nodes from
+    which no supported route reaches nuN; marginals is (N+1) x n,
+    marginals[0] equals nu0 to rounding and marginals[N] matches nuN within
+    `residual`.
     """
 
-    edges: EdgeIndex
     transitions: np.ndarray
     marginals: np.ndarray
     iterations: int
     residual: float
-
-    @property
-    def N(self) -> int:
-        return self.transitions.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.marginals.shape[1]
-
-    @property
-    def chain(self) -> PriorChain:
-        """The bridge as a chain: log transitions started from marginals[0]."""
-        with np.errstate(divide="ignore"):
-            return PriorChain(self.edges, np.log(self.transitions), self.marginals[0])
 
 
 def as_marginal(weights, n: int) -> np.ndarray:
@@ -113,8 +105,9 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
     Parameters
     ----------
     prior : PriorChain
-        Reference chain; only its transition weights matter (the bridge is
-        invariant under rescaling of mu0 and of each step matrix).
+        Reference chain, which may itself be a solved bridge; only its
+        transition weights matter (the bridge is invariant under rescaling
+        of mu0 and of each step matrix).
     nu0, nuN : array-like
         Prescribed initial and terminal node distributions.
     config : SolverConfig, optional
@@ -138,8 +131,9 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
     if N == 0:
         if float(np.abs(nu0 - nuN).max()) > 1e-12:
             raise InfeasibleError("N=0 requires identical endpoint marginals")
+        empty = np.zeros((0, prior.edges.E))
         return BridgeSolution(
-            edges=prior.edges, transitions=np.zeros((0, prior.edges.E)),
+            prior.edges, empty, nu0, transitions=empty,
             marginals=nu0[None, :].copy(), iterations=0,
             residual=float(np.abs(nu0 - nuN).max()),
         )
@@ -184,13 +178,13 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
     # Pi_t(i, j) = W_t(i, j) phi_{t+1}(j) / phi_t(i) on rows with phi_t(i) > 0
     lphi_src = lphi[:-1][:, src]
     with np.errstate(invalid="ignore"):
-        transitions = np.where(lphi_src > -np.inf,
-                               np.exp(LW + lphi[1:][:, dst] - lphi_src), 0.0)
+        log_transitions = np.where(lphi_src > -np.inf,
+                                   LW + lphi[1:][:, dst] - lphi_src, -np.inf)
     marginals = np.exp(lphi + lphi_hat)
     residual = float(np.abs(marginals[N] - nuN).max())
     return BridgeSolution(
-        edges=prior.edges, transitions=transitions, marginals=marginals,
-        iterations=iterations, residual=residual,
+        prior.edges, log_transitions, nu0, transitions=np.exp(log_transitions),
+        marginals=marginals, iterations=iterations, residual=residual,
     )
 
 
@@ -201,19 +195,18 @@ def marginal_flow(sol: BridgeSolution) -> np.ndarray:
 
 def path_probability(sol: BridgeSolution, p: Sequence[int]) -> float:
     """Mass of one path under the bridge: nu0(x0) times the transition entries."""
-    return chain_path_mass(sol.chain, p)
+    return chain_path_mass(sol, p)
 
 
 def most_probable_paths(measure, source: int, target: int) -> list[Path]:
     """Paths from source to target whose mass is within (1 - ARGMAX_REL_TOL) of the top.
 
-    `measure` may be a BridgeSolution, a PriorChain, or anything with a
-    `masses` mapping (a path measure).  Masses are compared in log space,
-    so no temperature underflows them.  Returns the argmax set in
-    lexicographic order; an empty list if every candidate path has zero mass.
+    `measure` may be a chain (a PriorChain, which a BridgeSolution is) or
+    anything with a `masses` mapping (a path measure).  Masses are compared
+    in log space, so no temperature underflows them.  Returns the argmax set
+    in lexicographic order; an empty list if every candidate path has zero
+    mass.
     """
-    if isinstance(measure, BridgeSolution):
-        measure = measure.chain
     if isinstance(measure, PriorChain):
         paths = step_paths(measure.edges, measure.support, source, target)
         log_m = log_path_masses(measure, paths)

@@ -293,7 +293,7 @@ def temperature_sweep(g: DirectedGraph, nu0, nuN, N: int, temperatures,
     def run(T: float) -> SweepRow:
         try:
             sol = solve_schrodinger(boltzmann_prior(g, T, N), nu0, nuN, config)
-            masses = np.exp(log_path_masses(sol.chain, tracked)).tolist()
+            masses = np.exp(log_path_masses(sol, tracked)).tolist()
             return SweepRow(
                 temperature=T,
                 average_length=average_path_length(sol, g),
@@ -340,7 +340,7 @@ def omt_approximation(g: DirectedGraph, nu0, nuN, N: int,
         T_small = 0.05 * min(positive)
     T_small = check_temperature(T_small)
     sol = solve_schrodinger(boltzmann_prior(g, T_small, N), nu0, nuN, config)
-    measure = measure_from_chain(sol.chain)
+    measure = measure_from_chain(sol)
     lengths = {p: path_length(g, p) for p in measure.masses}
     lmin = min(lengths.values())
     minimal = tuple(sorted(p for p, l in lengths.items() if l <= lmin + 1e-9))

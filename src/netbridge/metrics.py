@@ -55,9 +55,9 @@ class PathMeasure:
 def measure_from_chain(chain: PriorChain, cap: int = PATH_CAP) -> PathMeasure:
     """Expand a chain into its explicit (possibly unnormalized) path measure.
 
-    Keeps every path with positive mass; a solved bridge expands through
-    its `chain`.  Enumeration starts only where mu0 has mass, and more than
-    `cap` candidate paths raise EnumerationCapError.
+    Keeps every path with positive mass; a solved bridge is such a chain.
+    Enumeration starts only where mu0 has mass, and more than `cap`
+    candidate paths raise EnumerationCapError.
     """
     supports = chain.support  # a fresh array, narrowed in place
     if chain.N:

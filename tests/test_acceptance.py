@@ -212,7 +212,7 @@ def test_solver_agrees_with_brute_force_oracle(g9, g9_long79):
         prior = boltzmann_prior(g, T, N)
         nu0, nuN = delta_marginal(g.n, 1), delta_marginal(g.n, 9)
         sol = solve_schrodinger(prior, nu0, nuN)
-        tv = total_variation(measure_from_chain(sol.chain),
+        tv = total_variation(measure_from_chain(sol),
                              oracle_bridge(prior, nu0, nuN))
         worst = max(worst, tv)
         cases += 1
@@ -237,7 +237,7 @@ def test_solver_agrees_with_brute_force_oracle(g9, g9_long79):
         nuN = _weights_on(rng, g.n, picked)
         prior = boltzmann_prior(g, T, N)
         sol = solve_schrodinger(prior, nu0, nuN)
-        tv = total_variation(measure_from_chain(sol.chain),
+        tv = total_variation(measure_from_chain(sol),
                              oracle_bridge(prior, nu0, nuN))
         worst = max(worst, tv)
         cases += 1

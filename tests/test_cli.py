@@ -50,9 +50,12 @@ def assert_self_consistent(doc, g):
         assert abs(entropy(m) - doc["entropy"]) <= 1e-12
     # chain route: from the emitted flow and the per-edge transitions on
     # the emitted edge list
-    sol = BridgeSolution(edges=doc_edges(doc),
-                         transitions=np.array(doc["transitions"]),
-                         marginals=np.array(doc["marginal_flow"]),
+    transitions = np.array(doc["transitions"])
+    marginals = np.array(doc["marginal_flow"])
+    with np.errstate(divide="ignore"):
+        log_transitions = np.log(transitions)
+    sol = BridgeSolution(doc_edges(doc), log_transitions, marginals[0],
+                         transitions=transitions, marginals=marginals,
                          iterations=1, residual=0.0)
     assert abs(average_path_length(sol, g) - doc["average_length"]) <= 1e-12
     assert abs(entropy(sol) - doc["entropy"]) <= 1e-12
@@ -455,6 +458,17 @@ class TestExitCodes:
                            "-N", "3", "-T", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("flag, marginals", [
+        ("--from", ["--from", '{"delta": 1.9}', "--to-delta", "9"]),
+        ("--to", ["--from-delta", "1", "--to", '{"delta": true}']),
+    ], ids=["from-float", "to-bool"])
+    def test_non_integer_delta_spec_is_rejected(self, capsys, flag, marginals):
+        # int() would read either value as node 1
+        code, out, err = run(capsys, "solve", "--graph", "g9", *marginals,
+                             "-N", "4", "-T", "1")
+        assert code == 1 and out == ""
+        assert f"{flag}: delta must be an integer node" in err
+
     def test_usage_error_is_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--graph", "g9"])
@@ -478,6 +492,9 @@ class TestExitCodes:
         [*ORACLE_G9, "--tol", "1e-6"],
         [*ORACLE_G9, "--max-iter", "5"],
         [*ORACLE_G9, "--path-cap", "1"],
+        ["verify", *SOLVE_G9[1:], "--seed", "1"],
+        ["verify", *SOLVE_G9[1:], "--tol-oracle", "1e-6"],
+        ["verify", *SOLVE_G9[1:], "--tol-invariance", "1e-6"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_options_a_command_does_not_read_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -657,9 +674,9 @@ class TestVerify:
 
         def corrupted(*args):
             sol = solve(*args)
-            bad = sol.transitions.copy()
-            bad[0, sol.edges.out_edges(0)] *= 0.5
-            return replace(sol, transitions=bad)
+            bad = sol.log_weights.copy()
+            bad[0, sol.edges.out_edges(0)] += np.log(0.5)
+            return replace(sol, log_weights=bad, transitions=np.exp(bad))
 
         # only the CLI's solve is corrupted; the battery's own solves are not
         with mock.patch.object(cli, "solve_schrodinger", corrupted):

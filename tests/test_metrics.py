@@ -65,7 +65,7 @@ class TestAverageLength:
         sol = solve_schrodinger(boltzmann_prior(g9, 0.8, 4),
                                 delta_marginal(9, 1), delta_marginal(9, 9))
         chain_value = average_path_length(sol, g9)
-        enum_value = average_path_length(measure_from_chain(sol.chain), g9)
+        enum_value = average_path_length(measure_from_chain(sol), g9)
         assert chain_value == pytest.approx(enum_value, abs=1e-13)
 
     def test_off_edge_mass_is_infinite(self, g9):
@@ -86,7 +86,7 @@ class TestEntropy:
         sol = solve_schrodinger(boltzmann_prior(g9, 1.3, 4),
                                 delta_marginal(9, 1), delta_marginal(9, 9))
         assert entropy(sol) == \
-            pytest.approx(entropy(measure_from_chain(sol.chain)), abs=1e-12)
+            pytest.approx(entropy(measure_from_chain(sol)), abs=1e-12)
 
 
 class TestRelativeEntropy:
@@ -110,7 +110,7 @@ class TestRelativeEntropy:
         # the three minimal routes share the mass, so D = ln 3 + 3/0.002
         prior = boltzmann_prior(g9, 0.002, 4)
         sol = solve_schrodinger(prior, delta_marginal(9, 1), delta_marginal(9, 9))
-        assert relative_entropy(measure_from_chain(sol.chain), prior) == \
+        assert relative_entropy(measure_from_chain(sol), prior) == \
             pytest.approx(math.log(3) + 1500, rel=1e-12)
 
     def test_against_prior_chain(self, g9):
