@@ -188,11 +188,6 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
     )
 
 
-def marginal_flow(sol: BridgeSolution) -> np.ndarray:
-    """(N+1) x n node-occupation table of the bridge; each row sums to 1."""
-    return sol.marginals.copy()
-
-
 def path_probability(sol: BridgeSolution, p: Sequence[int]) -> float:
     """Mass of one path under the bridge: nu0(x0) times the transition entries."""
     return chain_path_mass(sol, p)

@@ -18,7 +18,7 @@ import numpy as np
 from .bridge import BridgeSolution, SolverConfig, as_marginal, solve_schrodinger
 from .errors import ConvergenceError, InfeasibleBudgetError, InfeasibleError, \
     NetbridgeError
-from .graph import DirectedGraph, Path, path_length
+from .graph import DirectedGraph, Path, path_length, path_sum_range
 from .metrics import PathMeasure, average_path_length, entropy, measure_from_chain
 from .prior import boltzmann_prior, check_temperature, log_path_masses
 
@@ -120,22 +120,19 @@ def length_variance(sol: BridgeSolution, g: DirectedGraph) -> float:
 def _family_bounds(g: DirectedGraph, nu0: np.ndarray, nuN: np.ndarray,
                    N: int) -> tuple[float, float, float] | None:
     """(min, max, plain mean) of the lengths of the N-step paths joining a
-    delta-pinned pair, by min-plus, max-plus and count/length-sum backward
-    recursions from the target; None unless both ends are deltas."""
+    delta-pinned pair, the mean by a count/length-sum backward recursion
+    from the target; None unless both ends are deltas."""
     s0 = np.flatnonzero(nu0 > 0)
     sN = np.flatnonzero(nuN > 0)
     if len(s0) != 1 or len(sN) != 1:
         return None
     edges = g.edge_index
     src, dst, lengths = edges.src, edges.dst, g.lengths
-    at_target = np.arange(g.n) == sN[0]
-    lo = np.where(at_target, 0.0, np.inf)
-    hi = np.where(at_target, 0.0, -np.inf)
-    count = at_target.astype(float)
+    lo, hi = path_sum_range(edges, np.ones((N, edges.E), dtype=bool),
+                            np.broadcast_to(lengths, (N, edges.E)), sN[0] + 1)
+    count = (np.arange(g.n) == sN[0]).astype(float)
     total = np.zeros(g.n)
     for _ in range(N):
-        lo = edges.reduce(np.minimum, lengths + lo[dst], empty=np.inf)
-        hi = edges.reduce(np.maximum, lengths + hi[dst], empty=-np.inf)
         total = np.bincount(src, total[dst] + lengths * count[dst], minlength=g.n)
         count = np.bincount(src, count[dst], minlength=g.n)
         scale = count.max() or 1.0  # only ratios matter; keeps counts finite

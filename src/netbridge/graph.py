@@ -245,6 +245,31 @@ def step_reach(edges: EdgeIndex, supports, ends: np.ndarray) -> list[np.ndarray]
     return [x.reshape(ends.shape) for x in ok]
 
 
+def path_sum_range(edges: EdgeIndex, supports, values: np.ndarray,
+                   target: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): per node, the min and max of sum_t values[t, e_t] over the
+    paths e_0..e_{N-1} into `target` whose step t runs along an edge in
+    supports[t]; (+inf, -inf) at a node with no such path.
+
+    One min-plus and one max-plus pass backward from `target` (1-based),
+    each taken only over edges whose head still reaches it, so values off
+    those edges (-inf, say) never meet an infinite tail.
+    """
+    n = edges.n
+    if not (1 <= target <= n):
+        raise ValueError(f"target node {target} out of range 1..{n}")
+    ends = np.arange(1, n + 1) == target
+    ok = step_reach(edges, supports, ends)
+    lo = np.where(ends, 0.0, np.inf)
+    hi = np.where(ends, 0.0, -np.inf)
+    for t in range(len(supports) - 1, -1, -1):
+        live = np.asarray(supports[t], dtype=bool) & ok[t + 1][edges.dst]
+        step = np.where(live, values[t], 0.0)
+        lo = edges.reduce(np.minimum, np.where(live, step + lo[edges.dst], np.inf), np.inf)
+        hi = edges.reduce(np.maximum, np.where(live, step + hi[edges.dst], -np.inf), -np.inf)
+    return lo, hi
+
+
 def require_routes(block: np.ndarray, supp0: np.ndarray, suppN: np.ndarray,
                    N: int) -> None:
     """Raise InfeasibleError naming the first supported endpoint pair with no route.

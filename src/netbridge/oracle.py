@@ -1,17 +1,20 @@
 """Brute-force reference solutions and the cross-checks of the main solver.
 
-The oracle works on the n x n endpoint kernel instead of the (N+1)-stage
+The oracle works on the endpoint kernel instead of the (N+1)-stage
 potential recursion: the bridge factorizes into endpoint scalings of the
 prior, so alternating row/column scaling of the kernel followed by
 distributing each endpoint mass over the conditioned prior paths gives the
 exact answer by a deliberately different route.  The kernel is summed in
-log space from the prior's paths, enumerated once, and scaled on log
-potentials, so no weight underflows and the oracle checks the solver at any
-temperature.  It refuses instances past PATH_CAP paths rather than sampling.
+log space from the prior's paths between the marginals' supports,
+enumerated once, and scaled on log potentials, so no weight underflows and
+the oracle checks the solver at any temperature.  It refuses instances past
+PATH_CAP such paths rather than sampling.
 
 `verify_battery` runs every cross-check on one solved bridge: agreement
 with the oracle, and the invariances the paper proves (iterated bridges,
-most probable paths, the restriction ratio, equal-length masses).
+most probable paths, the restriction ratio, equal-length masses).  The
+last two say a sum over a path's steps is the same on every path between
+two nodes, and take its range from path_sum_range, not from enumeration.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from ._numeric import logsumexp
 from .bridge import BridgeSolution, SolverConfig, as_marginal, delta_marginal, \
     most_probable_paths, solve_schrodinger
 from .errors import ConvergenceError, InfeasibleError, NetbridgeError
-from .graph import DirectedGraph, enumerate_feasible_paths, path_length, require_routes, \
-    step_paths, step_reach
+from .graph import DirectedGraph, enumerate_feasible_paths, path_length, path_sum_range, \
+    require_routes, step_paths, step_reach
 from .metrics import PathMeasure, measure_from_chain, total_variation
 from .prior import PriorChain, boltzmann_prior, check_temperature, log_path_masses, \
     ruelle_bowen_chain
@@ -40,37 +43,47 @@ VERIFY_TOL_INVARIANCE = 1e-9
 
 @dataclass(frozen=True)
 class EndpointKernel:
-    """The prior's support paths as a (P, N+1) array, their log transition
-    products (mu0 excluded) and log_matrix[i, j], the log total weight of
-    the i -> j paths (-inf where none joins them)."""
+    """The prior's support paths from supp0 to suppN as a (P, N+1) array,
+    their log transition products (mu0 excluded) and log_matrix[a, b], the
+    log total weight of the paths from the a-th node of supp0 to the b-th
+    node of suppN (-inf where none joins them)."""
 
     paths: np.ndarray
     log_weights: np.ndarray
     log_matrix: np.ndarray
 
 
-def endpoint_kernel(prior: PriorChain) -> EndpointKernel:
-    """Aggregate the prior over interior nodes, keeping endpoints only.
+def endpoint_kernel(prior: PriorChain, supp0: np.ndarray, suppN: np.ndarray) -> EndpointKernel:
+    """Aggregate the prior over interior nodes, keeping the endpoints in
+    supp0 x suppN (boolean vectors over nodes) only.
 
     Computed twice on purpose: once by enumerating paths over the prior's
-    support and once as the ordered log-domain product of the step
-    matrices.  The two must share their support and agree to 1e-12 relative
-    on every log entry; disagreement means a bookkeeping bug, so it raises
-    NetbridgeError rather than returning either.
+    support, narrowed at the first step to supp0 and at the last to suppN,
+    and once as the ordered log-domain product of the step matrices on
+    those rows and columns.  The two must share their support and agree to
+    1e-12 relative on every log entry; disagreement means a bookkeeping bug,
+    so it raises NetbridgeError rather than returning either.
     """
-    n = prior.n
-    paths = np.array(step_paths(prior.edges, prior.support),
-                     dtype=np.intp).reshape(-1, prior.N + 1)
+    n, N = prior.n, prior.N
+    if N < 1:
+        raise ValueError(f"the endpoint kernel needs N >= 1, got {N}")
+    rows0, colsN = np.flatnonzero(supp0), np.flatnonzero(suppN)
+    supports = prior.support  # a fresh array, narrowed in place
+    supports[0] &= supp0[prior.edges.src]
+    supports[N - 1] &= suppN[prior.edges.dst]
+    paths = np.array(step_paths(prior.edges, supports), dtype=np.intp).reshape(-1, N + 1)
     log_w = log_path_masses(PriorChain(prior.edges, prior.log_weights, np.ones(n)), paths)
-    log_G = np.full((n, n), -np.inf)
-    np.logaddexp.at(log_G, (paths[:, 0] - 1, paths[:, -1] - 1), log_w)
-    prod = np.where(np.eye(n, dtype=bool), 0.0, -np.inf)
+    log_G = np.full((rows0.size, colsN.size), -np.inf)
+    np.logaddexp.at(log_G, (np.searchsorted(rows0, paths[:, 0] - 1),
+                            np.searchsorted(colsN, paths[:, -1] - 1)), log_w)
+    prod = np.where(rows0[:, None] == np.arange(n), 0.0, -np.inf)
     rows = max(1, 2**22 // n**2)  # bounds each (rows, n, n) temporary at 32 MB
-    for t in range(prior.N):
+    for t in range(N):
         step = np.full((n, n), -np.inf)
         step[prior.edges.src, prior.edges.dst] = prior.log_weights[t]
         prod = np.concatenate([logsumexp(prod[r:r + rows, :, None] + step, axis=1)
-                               for r in range(0, n, rows)])
+                               for r in range(0, rows0.size, rows)])
+    prod = prod[:, colsN]
     on = prod > -np.inf
     gap = float("inf") if not np.array_equal(on, log_G > -np.inf) else float(
         (np.abs(log_G[on] - prod[on]) / np.maximum(1.0, np.abs(prod[on]))).max(initial=0.0))
@@ -95,9 +108,9 @@ def oracle_bridge(prior: PriorChain, nu0, nuN) -> PathMeasure:
             raise InfeasibleError("N=0 requires identical endpoint marginals")
         masses = {(i + 1,): float(nu0[i]) for i in np.flatnonzero(nu0 > 0)}
         return PathMeasure(0, masses)
-    kernel = endpoint_kernel(prior)
     supp0, suppN = nu0 > 0.0, nuN > 0.0
-    K = kernel.log_matrix[np.ix_(supp0, suppN)]
+    kernel = endpoint_kernel(prior, supp0, suppN)
+    K = kernel.log_matrix
     require_routes(K > -np.inf, supp0, suppN, prior.N)
     # log arithmetic resolves a marginal to a few ulps of the largest |log G|
     tol = ORACLE_TOL + 4 * np.finfo(float).eps * float(np.abs(K).max())
@@ -145,60 +158,42 @@ def conditioned_boltzmann(g: DirectedGraph, T: float, N: int,
     return PathMeasure(N, {p: float(np.exp(lw - logz)) for p, lw in zip(paths, logw)})
 
 
+def _spread(lo, hi):
+    """1 - exp(lo - hi): the spread 1 - min/max of path masses whose logs
+    range over [lo, hi]; 1 where no path has mass."""
+    with np.errstate(invalid="ignore"):  # -inf - -inf, replaced by the 1
+        return np.where(hi > -np.inf, 1.0 - np.exp(lo - hi), 1.0)
+
+
 @dataclass(frozen=True)
 class EqualLengthReport:
     """Equal-mass check for equal-length paths under the stationary-chain bridge."""
 
     pairs_checked: int
     max_spread: float
-    minimal_group_dominates: bool
-    max_dominance_gap: float
 
 
 def verify_equal_length_masses(g: DirectedGraph, T: float, N: int,
                                config: SolverConfig | None = None) -> EqualLengthReport:
     """Bridge every connected delta pair over the stationary chain and check
-    that paths of equal length carry equal mass.
-
-    Groups source -> target path masses by total length; reports the largest
-    within-group relative spread and whether the minimal-length group
-    dominates every longer group's masses for each pair.
+    that path mass is proportional to exp(-length/T), so equal-length paths
+    carry equal mass: log Pi + l/T summed over a path is then the same on
+    every path of a pair.  Reports the largest spread 1 - exp(min - max) of
+    that sum.  A bridge into a delta target has transitions independent of
+    nu0, so one bridge per target, from nu0 uniform on the nodes that reach
+    it, covers all of that target's pairs.
     """
     prior = ruelle_bowen_chain(g, T, N)
-    cfg = config or SolverConfig()
-    reach = step_reach(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
-                       np.eye(g.n, dtype=bool))[0]
-    pairs = 0
+    reach = step_reach(prior.edges, prior.support, np.eye(g.n, dtype=bool))[0]
     max_spread = 0.0
-    dominates = True
-    max_gap = 0.0
-    for i in range(1, g.n + 1):
-        for j in range(1, g.n + 1):
-            if not reach[i - 1, j - 1]:
-                continue
-            pairs += 1
-            sol = solve_schrodinger(prior, delta_marginal(g.n, i),
-                                    delta_marginal(g.n, j), cfg)
-            groups: dict[float, list[float]] = {}
-            for p, m in measure_from_chain(sol).masses.items():
-                groups.setdefault(round(path_length(g, p), 9), []).append(m)
-            for members in groups.values():
-                top = max(members)
-                if top > 0.0:
-                    max_spread = max(max_spread, (top - min(members)) / top)
-            lmin = min(groups)
-            floor = min(groups[lmin])
-            for l, members in groups.items():
-                if l == lmin:
-                    continue
-                gap = max(members) - floor
-                if gap > 1e-9 * max(floor, 1e-300):
-                    dominates = False
-                max_gap = max(max_gap, gap)
-    return EqualLengthReport(
-        pairs_checked=pairs, max_spread=max_spread,
-        minimal_group_dominates=dominates, max_dominance_gap=max_gap,
-    )
+    for j in np.flatnonzero(reach.any(axis=0)):
+        sources = reach[:, j]
+        sol = solve_schrodinger(prior, sources / np.count_nonzero(sources),
+                                delta_marginal(g.n, j + 1), config)
+        spread = _spread(*path_sum_range(prior.edges, prior.support,
+                                         sol.log_weights + g.lengths / T, j + 1))
+        max_spread = max(max_spread, float(spread[sources].max()))
+    return EqualLengthReport(pairs_checked=int(np.count_nonzero(reach)), max_spread=max_spread)
 
 
 def iterated_bridge_check(prior: PriorChain, first, second,
@@ -223,21 +218,19 @@ def restriction_ratio_check(prior: PriorChain, sol: BridgeSolution,
     """Relative spread of the bridge/prior mass ratio over source->target paths.
 
     For a bridge pinned by delta marginals the ratio is the same for every
-    path (it telescopes to a function of the endpoints only), so the spread
-    1 - min/max, taken from log ratios, should vanish up to solver tolerance.
+    path of the prior's support (it telescopes to a function of the
+    endpoints only), so the spread 1 - min/max, taken from the range of the
+    log ratio's path sums, should vanish up to solver tolerance.  A single
+    path reads 0, a bridge with no mass on the pair 1; a pair with no route
+    raises InfeasibleError.
     """
-    paths = step_paths(prior.edges, prior.support, source, target)
-    log_q = log_path_masses(prior, paths)
-    positive = log_q > -np.inf
-    if np.count_nonzero(positive) < 2:
-        raise InfeasibleError(
-            f"need at least two {source}->{target} paths with positive prior mass"
-        )
-    log_r = log_path_masses(sol, paths)[positive] - log_q[positive]
-    top = log_r.max()
-    if top == -np.inf:
-        return 0.0
-    return float(1.0 - np.exp(log_r.min() - top))
+    with np.errstate(invalid="ignore"):  # -inf - -inf off the prior's support
+        log_ratio = sol.log_weights - prior.log_weights
+    lo, hi = path_sum_range(prior.edges, prior.support, log_ratio, target)
+    if lo[source - 1] == np.inf:
+        raise InfeasibleError(f"no {prior.N}-step route with positive prior mass "
+                              f"from node {source} to node {target}")
+    return float(_spread(lo, hi)[source - 1])
 
 
 def verify_battery(g: DirectedGraph, sol: BridgeSolution, nu0, nuN, T: float,
@@ -251,6 +244,8 @@ def verify_battery(g: DirectedGraph, sol: BridgeSolution, nu0, nuN, T: float,
     temperatures of `grid`), restriction-ratio and equal-length-masses,
     between the heaviest nodes of nu0 and nuN.  N == 0 checks the first only.
     """
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
     N = sol.N
     gap = float(np.abs(sol.marginals[0] - nu0).max())
     if N == 0:
@@ -297,14 +292,9 @@ def verify_battery(g: DirectedGraph, sol: BridgeSolution, nu0, nuN, T: float,
     # a delta-pinned `sol` is already the bridge this check needs
     if not (np.array_equal(nu0, at_source) and np.array_equal(nuN, at_target)):
         sol = solve_schrodinger(prior, at_source, at_target, config)
-    try:
-        spread = restriction_ratio_check(prior, sol, source, target)
-    except InfeasibleError:
-        spread = 0.0  # single-path pair: constancy is vacuous
-    checks.append(("restriction-ratio", spread, VERIFY_TOL_INVARIANCE))
+    checks.append(("restriction-ratio", restriction_ratio_check(prior, sol, source, target),
+                   VERIFY_TOL_INVARIANCE))
 
     rep = verify_equal_length_masses(g, T, N, config)
-    checks.append(("equal-length-masses",
-                   max(rep.max_spread, 0.0 if rep.minimal_group_dominates else 1.0),
-                   VERIFY_TOL_INVARIANCE))
+    checks.append(("equal-length-masses", rep.max_spread, VERIFY_TOL_INVARIANCE))
     return checks, {"pairs_checked": rep.pairs_checked, "seed": VERIFY_SEED}

@@ -7,8 +7,7 @@ and broadcasts it over the steps.  Log weights keep every magnitude
 representable at any temperature (a Boltzmann weight is just -length/T),
 and -inf marks exactly the edges outside a step's support.  The Perron
 power iteration runs on linear edge weights with bincount products.  Dense
-n x n matrices appear only at the boundary: PriorChain.from_matrices and
-PriorChain.matrix.
+n x n matrices appear only at the boundary, in PriorChain.from_matrices.
 """
 
 from __future__ import annotations
@@ -91,12 +90,6 @@ class PriorChain:
     def support(self) -> np.ndarray:
         """(N, E) boolean: the edges with positive weight at each step."""
         return self.log_weights > -np.inf
-
-    def matrix(self, t: int) -> np.ndarray:
-        """Dense n x n transition-weight matrix for step t."""
-        M = np.zeros((self.n, self.n))
-        M[self.edges.src, self.edges.dst] = np.exp(self.log_weights[t])
-        return M
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from netbridge import (
     free_energy,
     iterated_bridge_check,
     length_variance,
-    marginal_flow,
     measure_from_chain,
     most_probable_paths,
     oracle_bridge,
@@ -41,7 +40,7 @@ from netbridge import (
     total_variation,
     verify_equal_length_masses,
 )
-from conftest import edge_weights
+from conftest import dense_steps, edge_weights
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -109,14 +108,14 @@ DETOUR_N4 = [(1, 2, 5, 6, 9), (1, 2, 5, 7, 9), (1, 3, 4, 8, 9), (1, 2, 3, 8, 9)]
 
 def test_three_step_flow_is_uniform_over_shortest_paths(g9):
     sol = bridge_19(g9, 1.0, 3)
-    dev = float(np.abs(marginal_flow(sol) - FLOW_UNIT_N3).max())
+    dev = float(np.abs(sol.marginals - FLOW_UNIT_N3).max())
     report("three-step unit-cost flow splits 1/3-1/3-1/3 over the shortest paths",
            dev <= 1e-6, f"max flow deviation {dev:.2e} (tol 1e-6)")
 
 
 def test_four_step_flow_matches_reference_distribution(g9):
     sol = bridge_19(g9, 1.0, 4)
-    dev = float(np.abs(marginal_flow(sol) - FLOW_UNIT_N4_T1).max())
+    dev = float(np.abs(sol.marginals - FLOW_UNIT_N4_T1).max())
     report("four-step flow at T=1 matches the reference mass evolution",
            dev <= 1e-3, f"max flow deviation {dev:.2e} (tol 1e-3)")
 
@@ -141,7 +140,7 @@ def test_four_step_path_masses_match_conditioned_boltzmann(g9):
 
 def test_cold_flow_concentrates_on_minimal_paths(g9):
     sol = bridge_19(g9, 0.1, 4)
-    dev = float(np.abs(marginal_flow(sol) - FLOW_UNIT_N4_COLD).max())
+    dev = float(np.abs(sol.marginals - FLOW_UNIT_N4_COLD).max())
     minimal_mass = sum(path_probability(sol, p) for p in MINIMAL_N4)
     report("T=0.1 flow matches the cold reference and loads minimal paths",
            dev <= 1e-3 and minimal_mass >= 0.999,
@@ -154,14 +153,14 @@ def test_longer_detour_edge_flows_across_temperatures(g9_long79):
     for T, ref in [(1.0, FLOW_LONG79_T1), (0.1, FLOW_LONG79_COLD),
                    (100.0, FLOW_LONG79_HOT)]:
         sol = bridge_19(g9_long79, T, 3)
-        devs.append(float(np.abs(marginal_flow(sol) - ref).max()))
+        devs.append(float(np.abs(sol.marginals - ref).max()))
     report("modified graph (l_79=2) flows match references at T=1, 0.1, 100",
            max(devs) <= 1e-3,
            "deviations " + ", ".join(f"{d:.2e}" for d in devs) + " (tol 1e-3)")
 
 
 def test_equal_length_flows_are_temperature_invariant(g9):
-    flows = [marginal_flow(bridge_19(g9, T, 3)) for T in (0.1, 1.0, 10.0)]
+    flows = [bridge_19(g9, T, 3).marginals for T in (0.1, 1.0, 10.0)]
     dev = max(float(np.abs(a - b).max())
               for i, a in enumerate(flows) for b in flows[i + 1:])
     report("three-step flow is the same at T=0.1, 1, 10 (equal-length family)",
@@ -275,11 +274,10 @@ def test_bridge_prior_ratio_is_constant_over_paths(g9, g9_long79):
 
 def test_equal_length_paths_share_mass_under_length_prior(g9):
     rep = verify_equal_length_masses(g9, 1.0, 4)
-    report("stationary-chain bridge gives equal mass to equal-length paths",
-           rep.max_spread <= 1e-9 and rep.minimal_group_dominates,
-           f"{rep.pairs_checked} endpoint pairs, within-group spread "
-           f"{rep.max_spread:.2e} (tol 1e-9), minimal group dominates: "
-           f"{rep.minimal_group_dominates}")
+    report("stationary-chain bridge gives each path mass proportional to exp(-l/T)",
+           rep.max_spread <= 1e-9,
+           f"{rep.pairs_checked} endpoint pairs, spread of log mass + l/T "
+           f"{rep.max_spread:.2e} (tol 1e-9)")
 
 
 def test_length_slope_matches_variance_identity(g9):
@@ -365,7 +363,8 @@ def test_nonminimal_mass_is_bounded_by_boltzmann_factor(g9, g9_long79):
 
 
 def test_perron_triples_support_the_entropy_walk(g9):
-    B = boltzmann_prior(g9, 1.0, 1).matrix(0)
+    prior = boltzmann_prior(g9, 1.0, 1)
+    B = dense_steps(prior.edges, np.exp(prior.log_weights))[0]
     fib = np.array([[1.0, 1.0], [1.0, 0.0]])
     golden = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -380,12 +379,10 @@ def test_perron_triples_support_the_entropy_walk(g9):
     gap = abs(perron(*edge_weights(fib)).lam - golden)
 
     chain = ruelle_bowen_chain(g9, 1.0, 4)
-    row_dev = max(
-        float(np.abs(chain.matrix(t).sum(axis=1) - 1.0).max())
-        for t in range(chain.N)
-    )
+    R = dense_steps(chain.edges, np.exp(chain.log_weights))
+    row_dev = float(np.abs(R.sum(axis=2) - 1.0).max())
     mu = chain.mu0
-    stat_dev = float(np.abs(mu @ chain.matrix(0) - mu).max())
+    stat_dev = float(np.abs(mu @ R[0] - mu).max())
 
     report("Perron triples are tight and the stationary walk is consistent",
            worst_res <= 1e-12 and gap <= 1e-12

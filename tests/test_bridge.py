@@ -28,7 +28,6 @@ from netbridge import (
     iterated_bridge_check,
     length_variance,
     log_path_masses,
-    marginal_flow,
     measure_from_chain,
     most_probable_paths,
     oracle_bridge,
@@ -75,14 +74,14 @@ class TestSolve:
     def test_marginals_pinned(self, g9):
         sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 4),
                                 delta(9, 1), delta(9, 9))
-        flow = marginal_flow(sol)
+        flow = sol.marginals
         assert np.abs(flow[0] - delta(9, 1)).max() <= 1e-12
         assert np.abs(flow[4] - delta(9, 9)).max() <= 1e-12
 
     def test_flow_propagates_through_transitions(self, g9):
         sol = solve_schrodinger(boltzmann_prior(g9, 0.7, 4),
                                 delta(9, 1), delta(9, 9))
-        flow = marginal_flow(sol)
+        flow = sol.marginals
         Pis = dense_steps(sol.edges, sol.transitions)
         for t in range(4):
             assert np.abs(flow[t] @ Pis[t] - flow[t + 1]).max() <= 1e-12
@@ -114,7 +113,7 @@ class TestSolve:
                            as_marginal([0.9, 0.05, 0.05, 0, 0, 0, 0, 0, 0], 9))
         a = solve_schrodinger(base, delta(9, 1), delta(9, 9))
         b = solve_schrodinger(other, delta(9, 1), delta(9, 9))
-        assert np.abs(marginal_flow(a) - marginal_flow(b)).max() <= 1e-12
+        assert np.abs(a.marginals - b.marginals).max() <= 1e-12
 
     def test_bridge_invariant_to_kernel_scaling(self, g9):
         base = boltzmann_prior(g9, 1.0, 4)
@@ -123,7 +122,7 @@ class TestSolve:
         scaled = PriorChain(base.edges, base.log_weights + c[:, None], base.mu0)
         a = solve_schrodinger(base, delta(9, 1), delta(9, 9))
         b = solve_schrodinger(scaled, delta(9, 1), delta(9, 9))
-        assert np.abs(marginal_flow(a) - marginal_flow(b)).max() <= 1e-12
+        assert np.abs(a.marginals - b.marginals).max() <= 1e-12
         for t in range(4):
             assert np.abs(a.transitions[t] - b.transitions[t]).max() <= 1e-12
 
@@ -323,11 +322,13 @@ class TestPathQueries:
             sol = solve_schrodinger(prior, delta(9, 1), delta(9, 9))
             assert restriction_ratio_check(prior, sol, 1, 9) <= 1e-12
 
-    def test_restriction_ratio_needs_two_paths(self, g9):
+    def test_restriction_ratio_single_path_and_no_route(self, g9):
+        # 8 -> 9 is the only one-step route out of 8; nothing leaves 9 for 1
         prior = boltzmann_prior(g9, 1.0, 1)
         sol = solve_schrodinger(prior, delta(9, 8), delta(9, 9))
+        assert restriction_ratio_check(prior, sol, 8, 9) == 0.0
         with pytest.raises(InfeasibleError):
-            restriction_ratio_check(prior, sol, 8, 9)
+            restriction_ratio_check(prior, sol, 9, 1)
 
 
 class TestRandomGraphs:
@@ -344,7 +345,7 @@ class TestRandomGraphs:
             T = float(rng.uniform(0.3, 3.0))
             sol = solve_schrodinger(boltzmann_prior(g, T, N),
                                     delta(g.n, src), delta(g.n, tgt))
-            flow = marginal_flow(sol)
+            flow = sol.marginals
             assert np.abs(flow[0] - delta(g.n, src)).max() <= 1e-10
             assert np.abs(flow[N] - delta(g.n, tgt)).max() <= 1e-10
             total = sum(path_probability(sol, p)

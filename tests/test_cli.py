@@ -687,6 +687,16 @@ class TestVerify:
         assert "[FAIL] solver-vs-oracle" in out
         assert err.startswith("verification failed: ") and "solver-vs-oracle" in err
 
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_pairs_below_one_exits_one(self, capsys, pairs):
+        # with no random pair the iterated-bridge check would pass unchecked
+        code, out, err = run(capsys, "verify", "--graph", "g9",
+                             "--from-delta", "1", "--to-delta", "9",
+                             "-N", "4", "-T", "1", "--pairs", pairs)
+        assert code == 1
+        assert out == ""
+        assert f"pairs must be >= 1, got {pairs}" in err
+
     def test_zero_horizon_trivial_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--graph", "g9",
                            "--from-delta", "1", "--to-delta", "1",

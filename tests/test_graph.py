@@ -20,7 +20,7 @@ from netbridge import (
     path_length,
     shortest_path_matrix,
 )
-from netbridge.graph import EdgeIndex, step_paths, step_reach
+from netbridge.graph import EdgeIndex, path_sum_range, step_paths, step_reach
 from conftest import random_graph
 
 
@@ -288,6 +288,33 @@ class TestStepRoutines:
         low = np.full(edges.n, np.inf)
         np.minimum.at(low, edges.src, vals)
         assert np.array_equal(edges.reduce(np.minimum, vals, np.inf), low)
+
+    @settings(max_examples=100)
+    @given(step_supports(), st.data())
+    def test_path_sum_range_matches_enumerated_sums(self, case, data):
+        # values include -inf, on and off the support, and no -inf + inf may
+        # form; each path's sum is formed backward, as the recursion forms
+        # it, so both agree exactly
+        edges, rows, _ = case
+        n, N = edges.n, len(rows)
+        target = data.draw(st.integers(1, n))
+        values = np.array(data.draw(st.lists(st.none() | st.floats(-50.0, 50.0),
+                                             min_size=N * edges.E, max_size=N * edges.E)),
+                          dtype=float).reshape(N, edges.E)
+        values = np.where(np.isnan(values), -np.inf, values)
+        want_lo, want_hi = np.full(n, np.inf), np.full(n, -np.inf)
+        for p in step_paths(edges, rows, target=target):
+            ids = edges.find(np.array(p[:-1], dtype=np.intp) - 1,
+                             np.array(p[1:], dtype=np.intp) - 1)
+            total = 0.0
+            for t in reversed(range(N)):
+                total = values[t, ids[t]] + total
+            want_lo[p[0] - 1] = min(want_lo[p[0] - 1], total)
+            want_hi[p[0] - 1] = max(want_hi[p[0] - 1], total)
+        with np.errstate(invalid="raise"):
+            lo, hi = path_sum_range(edges, rows, values, target)
+        assert np.array_equal(lo, want_lo)
+        assert np.array_equal(hi, want_hi)
 
     def test_reach_counts_do_not_wrap(self):
         # K_257 without self-loops: every node has 256 in-neighbours, which

@@ -22,7 +22,12 @@ from netbridge import (
     perron,
     ruelle_bowen_chain,
 )
-from conftest import edge_weights, random_graph
+from conftest import dense_steps, edge_weights, random_graph
+
+
+def dense(chain):
+    """The chain's linear step weights as N dense n x n matrices."""
+    return dense_steps(chain.edges, np.exp(chain.log_weights))
 
 FIBONACCI = np.array([[1.0, 1.0], [1.0, 0.0]])
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -31,11 +36,11 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 class TestPriorChain:
     def test_boltzmann_entries(self, g9):
         prior = boltzmann_prior(g9, 2.0, 3)
-        M = prior.matrix(0)
+        M, M1 = dense(prior)[:2]
         assert M[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-14)
         assert M[8, 8] == pytest.approx(1.0, rel=1e-14)
         assert M[1, 0] == 0.0
-        assert np.allclose(prior.matrix(1), M)
+        assert np.allclose(M1, M)
 
     def test_uniform_initial_marginal(self, g9):
         prior = boltzmann_prior(g9, 1.0, 2)
@@ -199,7 +204,7 @@ class TestPerron:
         assert np.allclose(a.u, b.u, atol=1e-10)
 
     def test_reducible_funnel(self, g9):
-        B = boltzmann_prior(g9, 1.0, 1).matrix(0)
+        B = dense(boltzmann_prior(g9, 1.0, 1))[0]
         res = perron(*edge_weights(B))
         # the only cycle is the zero-length self-loop, so the radius is 1
         assert res.lam == pytest.approx(1.0, abs=1e-12)
@@ -224,24 +229,22 @@ class TestPerron:
 class TestRuelleBowen:
     def test_rows_are_distributions(self, ring4):
         chain = ruelle_bowen_chain(ring4, 1.0, 3)
-        for t in range(3):
-            R = chain.matrix(t)
-            assert np.abs(R.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(dense(chain).sum(axis=2) - 1.0).max() <= 1e-12
 
     def test_stationary_marginal(self, ring4):
         chain = ruelle_bowen_chain(ring4, 1.0, 2)
         mu = chain.mu0
-        assert np.abs(mu @ chain.matrix(0) - mu).max() <= 1e-12
+        assert np.abs(mu @ dense(chain)[0] - mu).max() <= 1e-12
         assert mu.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_entropy_rate_is_log_spectral_radius(self, ring4):
         # with equal edge lengths the walk reduces to the adjacency case,
         # whose entropy rate is the log of the Perron eigenvalue
         chain = ruelle_bowen_chain(ring4, 1.0, 1)
-        R, mu = chain.matrix(0), chain.mu0
+        R, mu = dense(chain)[0], chain.mu0
         rate = -sum(mu[i] * R[i, j] * math.log(R[i, j])
                     for i in range(4) for j in range(4) if R[i, j] > 0)
-        A = (boltzmann_prior(ring4, 1.0, 1).matrix(0) > 0).astype(float)
+        A = (dense(boltzmann_prior(ring4, 1.0, 1))[0] > 0).astype(float)
         lam = max(abs(np.linalg.eigvals(A)))
         assert rate == pytest.approx(math.log(lam), abs=1e-10)
 
@@ -249,7 +252,7 @@ class TestRuelleBowen:
         chain = ruelle_bowen_chain(g9, 1.0, 2)
         mu = chain.mu0
         assert mu[8] == pytest.approx(1.0, abs=1e-10)
-        assert np.abs(chain.matrix(0).sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(dense(chain).sum(axis=2) - 1.0).max() <= 1e-12
 
     def test_rejects_dead_end_nodes(self):
         g = DirectedGraph(3, ((1, 2, 1.0), (2, 3, 1.0)))
