@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError
-from .graph import Path, require_routes, step_paths, step_reach
+from .graph import Path, path_sum_range, require_routes, step_paths, step_reach
 from .prior import PriorChain, chain_path_mass, log_path_masses
 
 ARGMAX_REL_TOL = 1e-9  # paths within this share of the top mass tie for it
@@ -193,28 +193,39 @@ def path_probability(sol: BridgeSolution, p: Sequence[int]) -> float:
     return chain_path_mass(sol, p)
 
 
-def most_probable_paths(measure, source: int, target: int) -> list[Path]:
-    """Paths from source to target whose mass is within (1 - ARGMAX_REL_TOL) of the top.
+def most_probable_paths(chain: PriorChain, source: int, target: int) -> list[Path]:
+    """Paths from source to target whose mass under `chain` (a prior or a
+    bridge) is within (1 - ARGMAX_REL_TOL) of the top, in lexicographic
+    order; an empty list if mu0 has no mass at `source`.
 
-    `measure` may be a chain (a PriorChain, which a BridgeSolution is) or
-    anything with a `masses` mapping (a path measure).  Masses are compared
-    in log space, so no temperature underflows them.  Returns the argmax set
-    in lexicographic order; an empty list if every candidate path has zero
-    mass.
+    Max-plus (Viterbi) passes give the best log prefix into each node,
+    summed forward as log_path_masses sums, and path_sum_range the best
+    suffix out of it.  Only the edges whose best path ties the top, within a
+    few ulps of the largest path sum, are enumerated; log_path_masses then
+    decides the set exactly.
     """
-    if isinstance(measure, PriorChain):
-        paths = step_paths(measure.edges, measure.support, source, target)
-        log_m = log_path_masses(measure, paths)
-    elif hasattr(measure, "masses"):
-        paths = sorted(p for p in measure.masses if p[0] == source and p[-1] == target)
-        with np.errstate(divide="ignore"):
-            log_m = np.log([measure.masses[p] for p in paths])
-    else:
-        raise TypeError(f"unsupported measure type: {type(measure).__name__}")
-    if not paths:
+    n, N, edges, LW = chain.n, chain.N, chain.edges, chain.log_weights
+    if not (1 <= source <= n):
+        raise ValueError(f"source node {source} out of range 1..{n}")
+    lo, hi = path_sum_range(edges, chain.support, LW, target)
+    if lo[0][source - 1] == np.inf:
         raise InfeasibleError(f"no path from node {source} to node {target}")
-    top = log_m.max()
+    head = np.full((N + 1, n), -np.inf)
+    with np.errstate(divide="ignore"):
+        head[0, source - 1] = np.log(chain.mu0[source - 1])
+    for t in range(N):
+        np.maximum.at(head[t + 1], edges.dst, head[t][edges.src] + LW[t])
+    top = head[N, target - 1]
     if top == -np.inf:
         return []
+    through = head[:-1, edges.src] + LW + np.stack(hi)[1:, edges.dst]
+    # scale bounds sum |terms| on any path along these edges; summed forward
+    # or split at an edge, its log mass moves by at most (N + 1) eps * scale
+    scale = abs(head[0, source - 1]) + np.abs(
+        np.where(through > -np.inf, LW, 0.0)).max(axis=1, initial=0.0).sum()
+    cut = top + np.log1p(-ARGMAX_REL_TOL) - 4 * (N + 1) * np.finfo(float).eps * scale
+    paths = step_paths(edges, through >= cut, source, target)
+    log_m = log_path_masses(chain, paths)
+    top = log_m.max()
     return [p for p, m in zip(paths, log_m) if m >= top + np.log1p(-ARGMAX_REL_TOL)]
 

@@ -140,7 +140,7 @@ def _family_bounds(g: DirectedGraph, nu0: np.ndarray, nuN: np.ndarray,
     s = s0[0]
     if count[s] == 0.0:
         raise InfeasibleError(f"no {N}-step path from node {s + 1} to node {sN[0] + 1}")
-    return float(lo[s]), float(hi[s]), float(total[s] / count[s])
+    return float(lo[0][s]), float(hi[0][s]), float(total[s] / count[s])
 
 
 def _bracket_end(probe, beyond, T: float, limit: float, inner: float,

@@ -389,6 +389,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_solve(args) -> int:
+    if args.path_cap < 0:
+        raise _CliError(f"--path-cap must be >= 0, got {args.path_cap}")
     g = _load_graph_arg(args.graph)
     nu0 = _resolve_marginal(g.n, args.from_delta, args.from_spec, "from")
     nuN = _resolve_marginal(g.n, args.to_delta, args.to_spec, "to")
@@ -495,6 +497,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    if args.cap < 0:
+        raise _CliError(f"--cap must be >= 0, got {args.cap}")
     g = _load_graph_arg(args.graph)
     paths = enumerate_feasible_paths(g, args.horizon, source=args.source,
                                      target=args.target, cap=args.cap)

@@ -246,10 +246,12 @@ def step_reach(edges: EdgeIndex, supports, ends: np.ndarray) -> list[np.ndarray]
 
 
 def path_sum_range(edges: EdgeIndex, supports, values: np.ndarray,
-                   target: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): per node, the min and max of sum_t values[t, e_t] over the
-    paths e_0..e_{N-1} into `target` whose step t runs along an edge in
-    supports[t]; (+inf, -inf) at a node with no such path.
+                   target: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(lo, hi): lo[t][v-1] and hi[t][v-1] are the min and max of
+    sum_{s>=t} values[s, e_s] over the paths e_t..e_{N-1} from node v into
+    `target` whose step s runs along an edge in supports[s]; (+inf, -inf) at
+    a node with no such path.  Like step_reach's ok, each is a list of N+1
+    node vectors, and lo[N], hi[N] are 0 at `target`.
 
     One min-plus and one max-plus pass backward from `target` (1-based),
     each taken only over edges whose head still reaches it, so values off
@@ -260,14 +262,13 @@ def path_sum_range(edges: EdgeIndex, supports, values: np.ndarray,
         raise ValueError(f"target node {target} out of range 1..{n}")
     ends = np.arange(1, n + 1) == target
     ok = step_reach(edges, supports, ends)
-    lo = np.where(ends, 0.0, np.inf)
-    hi = np.where(ends, 0.0, -np.inf)
+    lo, hi = [np.where(ends, 0.0, np.inf)], [np.where(ends, 0.0, -np.inf)]
     for t in range(len(supports) - 1, -1, -1):
         live = np.asarray(supports[t], dtype=bool) & ok[t + 1][edges.dst]
         step = np.where(live, values[t], 0.0)
-        lo = edges.reduce(np.minimum, np.where(live, step + lo[edges.dst], np.inf), np.inf)
-        hi = edges.reduce(np.maximum, np.where(live, step + hi[edges.dst], -np.inf), -np.inf)
-    return lo, hi
+        for out, ufunc, none in ((lo, np.minimum, np.inf), (hi, np.maximum, -np.inf)):
+            out.append(edges.reduce(ufunc, np.where(live, step + out[-1][edges.dst], none), none))
+    return lo[::-1], hi[::-1]
 
 
 def require_routes(block: np.ndarray, supp0: np.ndarray, suppN: np.ndarray,
@@ -295,8 +296,11 @@ def step_paths(edges: EdgeIndex, supports, source: int | None = None,
     optionally pinned at one or both endpoints and come back in
     lexicographic node order.  The depth-first walk enters only successors
     that step_reach says can still finish, so no branch dies.  Exceeding
-    `cap` paths raises EnumerationCapError rather than truncating.
+    `cap` paths raises EnumerationCapError rather than truncating; a
+    negative cap raises ValueError.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     n = edges.n
     for name, x in (("source", source), ("target", target)):
         if x is not None and not (1 <= x <= n):

@@ -13,8 +13,9 @@ PATH_CAP such paths rather than sampling.
 `verify_battery` runs every cross-check on one solved bridge: agreement
 with the oracle, and the invariances the paper proves (iterated bridges,
 most probable paths, the restriction ratio, equal-length masses).  The
-last two say a sum over a path's steps is the same on every path between
-two nodes, and take its range from path_sum_range, not from enumeration.
+last three run on path_sum_range's min/max-plus passes: the argmax check
+enumerates only the paths that tie for the top, and the other two read the
+range of a step sum that must be the same on every path between two nodes.
 """
 
 from __future__ import annotations
@@ -190,9 +191,9 @@ def verify_equal_length_masses(g: DirectedGraph, T: float, N: int,
         sources = reach[:, j]
         sol = solve_schrodinger(prior, sources / np.count_nonzero(sources),
                                 delta_marginal(g.n, j + 1), config)
-        spread = _spread(*path_sum_range(prior.edges, prior.support,
-                                         sol.log_weights + g.lengths / T, j + 1))
-        max_spread = max(max_spread, float(spread[sources].max()))
+        lo, hi = path_sum_range(prior.edges, prior.support,
+                                sol.log_weights + g.lengths / T, j + 1)
+        max_spread = max(max_spread, float(_spread(lo[0], hi[0])[sources].max()))
     return EqualLengthReport(pairs_checked=int(np.count_nonzero(reach)), max_spread=max_spread)
 
 
@@ -227,10 +228,10 @@ def restriction_ratio_check(prior: PriorChain, sol: BridgeSolution,
     with np.errstate(invalid="ignore"):  # -inf - -inf off the prior's support
         log_ratio = sol.log_weights - prior.log_weights
     lo, hi = path_sum_range(prior.edges, prior.support, log_ratio, target)
-    if lo[source - 1] == np.inf:
+    if lo[0][source - 1] == np.inf:
         raise InfeasibleError(f"no {prior.N}-step route with positive prior mass "
                               f"from node {source} to node {target}")
-    return float(_spread(lo, hi)[source - 1])
+    return float(_spread(lo[0], hi[0])[source - 1])
 
 
 def verify_battery(g: DirectedGraph, sol: BridgeSolution, nu0, nuN, T: float,
@@ -283,10 +284,10 @@ def verify_battery(g: DirectedGraph, sol: BridgeSolution, nu0, nuN, T: float,
 
     sets = set()
     for Tg in grid:
-        sol_t = solve_schrodinger(boltzmann_prior(g, Tg, N), at_source, at_target, config)
+        prior_t = boltzmann_prior(g, Tg, N)
+        sol_t = solve_schrodinger(prior_t, at_source, at_target, config)
         sets.add(tuple(most_probable_paths(sol_t, source, target)))
-        sets.add(tuple(most_probable_paths(
-            conditioned_boltzmann(g, Tg, N, source, target), source, target)))
+        sets.add(tuple(most_probable_paths(prior_t, source, target)))
     checks.append(("argmax-path-invariance", 0.0 if len(sets) == 1 else 1.0, 0.5))
 
     # a delta-pinned `sol` is already the bridge this check needs

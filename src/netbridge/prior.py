@@ -6,8 +6,8 @@ array over an EdgeIndex; a time-homogeneous chain stores its one row once
 and broadcasts it over the steps.  Log weights keep every magnitude
 representable at any temperature (a Boltzmann weight is just -length/T),
 and -inf marks exactly the edges outside a step's support.  The Perron
-power iteration runs on linear edge weights with bincount products.  Dense
-n x n matrices appear only at the boundary, in PriorChain.from_matrices.
+power iteration runs on linear edge weights with bincount products; no
+dense n x n matrix is built.
 """
 
 from __future__ import annotations
@@ -56,27 +56,6 @@ class PriorChain:
             raise ValueError("mu0 must be nonnegative with positive total mass")
         object.__setattr__(self, "log_weights", W)
         object.__setattr__(self, "mu0", mu0)
-
-    @classmethod
-    def from_matrices(cls, matrices: Sequence[np.ndarray], mu0) -> "PriorChain":
-        """Chain whose step t has the dense n x n weight matrix matrices[t].
-
-        The edges are the positions positive in some matrix, row-major.
-        """
-        mats = [np.asarray(M, dtype=float) for M in matrices]
-        n = mats[0].shape[0] if mats else np.asarray(mu0).shape[0]
-        for t, M in enumerate(mats):
-            if M.shape != (n, n):
-                raise ValueError(f"matrices[{t}] must be {n}x{n}, got {M.shape}")
-            if not np.all(np.isfinite(M)) or np.any(M < 0):
-                raise ValueError(f"matrices[{t}] must be finite and nonnegative")
-        support = np.zeros((n, n), dtype=bool)
-        for M in mats:
-            support |= M > 0
-        src, dst = np.nonzero(support)
-        weights = np.array([M[src, dst] for M in mats]).reshape(len(mats), src.size)
-        with np.errstate(divide="ignore"):
-            return cls(EdgeIndex(n, src, dst), np.log(weights), mu0)
 
     @property
     def N(self) -> int:

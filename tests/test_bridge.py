@@ -1,5 +1,6 @@
 """Bridge solver: marginal pinning, invariances, path probabilities."""
 
+import itertools
 import json
 import math
 import tempfile
@@ -39,7 +40,8 @@ from netbridge import (
     total_variation,
 )
 from netbridge._numeric import hilbert_distance
-from netbridge.graph import step_paths
+from netbridge.bridge import ARGMAX_REL_TOL
+from netbridge.graph import path_sum_range, step_paths
 from netbridge.cli import main
 from conftest import dense_steps, random_graph
 
@@ -299,6 +301,84 @@ class TestPathQueries:
         prior = boltzmann_prior(g9, 1.0, 2)
         with pytest.raises(InfeasibleError):
             most_probable_paths(prior, 1, 9)
+
+    def test_most_probable_endpoint_checks(self, g9):
+        prior = boltzmann_prior(g9, 1.0, 4)
+        for source in (0, 10):
+            with pytest.raises(ValueError, match=f"source node {source} out of range"):
+                most_probable_paths(prior, source, 9)
+        with pytest.raises(ValueError, match="target node 10 out of range"):
+            most_probable_paths(prior, 1, 10)
+        # the bridge from node 1 puts no mass on paths leaving node 2
+        sol = solve_schrodinger(prior, delta(9, 1), delta(9, 9))
+        assert most_probable_paths(sol, 2, 9) == []
+
+    @staticmethod
+    def enumerate_then_filter(chain, source, target):
+        paths = step_paths(chain.edges, chain.support, source, target)
+        if not paths:
+            return "infeasible"
+        log_m = log_path_masses(chain, paths)
+        top = log_m.max()
+        return [p for p, m in zip(paths, log_m) if m >= top + np.log1p(-ARGMAX_REL_TOL)]
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(0, 5),
+           st.floats(-6.0, 3.0), st.sampled_from([1.0, 3.0, 40.0]))
+    def test_most_probable_matches_enumeration(self, seed, n, N, log_T, max_len):
+        g = random_graph(np.random.default_rng(seed), n, max_len=max_len)
+        prior = boltzmann_prior(g, float(10.0 ** log_T), N)
+        for s, t in itertools.product(range(1, n + 1), repeat=2):
+            want = self.enumerate_then_filter(prior, s, t)
+            if want == "infeasible":
+                with pytest.raises(InfeasibleError):
+                    most_probable_paths(prior, s, t)
+                continue
+            assert most_probable_paths(prior, s, t) == want
+            if N > 0:
+                sol = solve_schrodinger(prior, delta(n, s), delta(n, t))
+                assert most_probable_paths(sol, s, t) == \
+                    self.enumerate_then_filter(sol, s, t)
+
+    def test_most_probable_keeps_ties_when_cold(self):
+        # At T=1e-6 path log masses reach 1e8, and one ulp of them exceeds
+        # ARGMAX_REL_TOL, so the prune's slack must scale with them.  The
+        # diamond's three paths of length 34.308 tie.  With no slack, the
+        # loop's only path, bounded by sums taken in two directions, was
+        # pruned, and so were argmax paths of some seeded graphs.
+        diamond = DirectedGraph(5, ((1, 2, 17.972), (2, 5, 16.336), (1, 3, 16.336),
+                                    (3, 5, 17.972), (1, 4, 3.575), (4, 5, 30.733),
+                                    (5, 5, 0.0)))
+        prior = boltzmann_prior(diamond, 1e-6, 3)
+        assert most_probable_paths(prior, 1, 5) == [(1, 2, 5, 5), (1, 3, 5, 5), (1, 4, 5, 5)]
+        rng = np.random.default_rng(0)
+        cases = [(DirectedGraph(1, ((1, 1, 8.742),)), 5)] + [
+            (random_graph(rng, int(rng.integers(2, 6)), 0.5, max_len=40.0),
+             int(rng.integers(1, 5))) for _ in range(30)]
+        for g, N in cases:
+            prior = boltzmann_prior(g, 1e-6, N)
+            for s, t in itertools.product(range(1, g.n + 1), repeat=2):
+                want = self.enumerate_then_filter(prior, s, t)
+                if want != "infeasible":
+                    assert most_probable_paths(prior, s, t) == want
+
+    def test_most_probable_past_the_enumeration_cap(self):
+        # 4,487,238 paths join 1 -> 2 in 10 steps, past PATH_CAP; only the
+        # minimal-length ones are enumerated, and they are the argmax of the
+        # prior and of the bridge at every temperature
+        g = random_graph(np.random.default_rng(1), 200, 0.04)
+        N = 10
+        lo, _ = path_sum_range(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
+                               np.broadcast_to(g.lengths, (N, len(g.edges))), 2)
+        sets = set()
+        for T in (0.1, 0.5, 1.0, 2.0, 10.0):
+            prior = boltzmann_prior(g, T, N)
+            sol = solve_schrodinger(prior, delta(200, 1), delta(200, 2))
+            sets.add(tuple(most_probable_paths(prior, 1, 2)))
+            sets.add(tuple(most_probable_paths(sol, 1, 2)))
+        (best,) = sets
+        assert best and all(path_length(g, p) == pytest.approx(lo[0][0], rel=1e-12)
+                            for p in best)
 
     def test_restriction_ratio_constant(self, g9):
         prior = boltzmann_prior(g9, 1.0, 4)

@@ -524,6 +524,20 @@ class TestExitCodes:
         assert code == 1
         assert "edges" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["paths", "--graph", "g9", "-N", "4", "--source", "1", "--target", "9",
+          "--cap", "-1"], "--cap"),
+        ([*SOLVE_G9, "--path-cap", "-5"], "--path-cap"),
+    ], ids=["paths-cap", "solve-path-cap"])
+    def test_negative_cap_exits_one_and_names_the_option(self, tmp_path, capsys,
+                                                         argv, option):
+        # -1 read as a cap refused every path; -5 silently dropped path_masses
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, *argv, "--output", str(out))
+        assert code == 1
+        assert f"{option} must be >= 0, got {argv[-1]}" in err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_csv_columns_and_monotone_length(self, capsys):

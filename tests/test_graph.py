@@ -210,6 +210,9 @@ class TestEnumeration:
     def test_cap_enforced(self, g9):
         with pytest.raises(EnumerationCapError):
             enumerate_feasible_paths(g9, 4, source=1, cap=3)
+        assert enumerate_feasible_paths(g9, 2, source=1, target=9, cap=0) == []
+        with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+            enumerate_feasible_paths(g9, 2, source=1, target=9, cap=-1)
 
     def test_infeasible_pair_is_empty(self, g9):
         assert enumerate_feasible_paths(g9, 2, source=1, target=9) == []
@@ -302,19 +305,23 @@ class TestStepRoutines:
                                              min_size=N * edges.E, max_size=N * edges.E)),
                           dtype=float).reshape(N, edges.E)
         values = np.where(np.isnan(values), -np.inf, values)
-        want_lo, want_hi = np.full(n, np.inf), np.full(n, -np.inf)
-        for p in step_paths(edges, rows, target=target):
-            ids = edges.find(np.array(p[:-1], dtype=np.intp) - 1,
-                             np.array(p[1:], dtype=np.intp) - 1)
-            total = 0.0
-            for t in reversed(range(N)):
-                total = values[t, ids[t]] + total
-            want_lo[p[0] - 1] = min(want_lo[p[0] - 1], total)
-            want_hi[p[0] - 1] = max(want_hi[p[0] - 1], total)
+        # want[t]: the range over the paths' tails from step t, started
+        # at the node each tail leaves
+        want_lo, want_hi = np.full((N + 1, n), np.inf), np.full((N + 1, n), -np.inf)
+        for t in range(N + 1):
+            for p in step_paths(edges, rows[t:], target=target):
+                ids = edges.find(np.array(p[:-1], dtype=np.intp) - 1,
+                                 np.array(p[1:], dtype=np.intp) - 1)
+                total = 0.0
+                for s in reversed(range(N - t)):
+                    total = values[t + s, ids[s]] + total
+                want_lo[t, p[0] - 1] = min(want_lo[t, p[0] - 1], total)
+                want_hi[t, p[0] - 1] = max(want_hi[t, p[0] - 1], total)
         with np.errstate(invalid="raise"):
             lo, hi = path_sum_range(edges, rows, values, target)
-        assert np.array_equal(lo, want_lo)
-        assert np.array_equal(hi, want_hi)
+        assert len(lo) == len(hi) == N + 1
+        assert np.array_equal(np.stack(lo), want_lo)
+        assert np.array_equal(np.stack(hi), want_hi)
 
     def test_reach_counts_do_not_wrap(self):
         # K_257 without self-loops: every node has 256 in-neighbours, which

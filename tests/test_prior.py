@@ -76,21 +76,20 @@ class TestPriorChain:
             assert np.all(boltzmann_prior(flat, 1e-310, 2).log_weights == 0.0)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            PriorChain.from_matrices((np.ones((2, 3)),), np.ones(2) / 2)
-        with pytest.raises(ValueError):
-            PriorChain.from_matrices((np.ones((2, 2)), np.ones((3, 3))), np.ones(2) / 2)
-        edges = PriorChain.from_matrices((np.ones((2, 2)),), np.ones(2) / 2).edges
+        edges = EdgeIndex(2, [0, 0, 1, 1], [0, 1, 0, 1])
         with pytest.raises(ValueError):
             PriorChain(edges, np.ones((1, 3)), np.ones(2) / 2)  # 4 edges, 3 weights
         with pytest.raises(ValueError):
             PriorChain(edges, np.ones(4), np.ones(2) / 2)  # no step axis
+        with pytest.raises(ValueError):
+            PriorChain(edges, np.zeros((1, 4)), np.ones(3) / 3)  # mu0 over 3 nodes
 
     def test_mu0_validation(self):
+        edges = EdgeIndex(2, [0, 0, 1, 1], [0, 1, 0, 1])
         with pytest.raises(ValueError):
-            PriorChain.from_matrices((np.ones((2, 2)),), np.array([0.5, -0.5]))
+            PriorChain(edges, np.zeros((1, 4)), np.array([0.5, -0.5]))
         with pytest.raises(ValueError):
-            PriorChain.from_matrices((np.ones((2, 2)),), np.zeros(2))
+            PriorChain(edges, np.zeros((1, 4)), np.zeros(2))
 
     def test_path_mass_matches_manual_product(self, g9):
         T = 1.3
