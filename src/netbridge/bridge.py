@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError
-from .graph import Path, path_sum_range, require_routes, step_paths, step_reach
+from .graph import EdgeIndex, Path, path_sum_range, require_routes, step_paths, step_reach
 from .prior import PriorChain, chain_path_mass, log_path_masses
 
 ARGMAX_REL_TOL = 1e-9  # paths within this share of the top mass tie for it
@@ -86,6 +86,14 @@ def delta_marginal(n: int, node: int) -> np.ndarray:
     w = np.zeros(n)
     w[node - 1] = 1.0
     return w
+
+
+def push_flow(edges: EdgeIndex, mu0: np.ndarray, transitions) -> np.ndarray:
+    """(N+1, n) flow: mu0, then pushed along each step's edge transitions."""
+    flow = [mu0]
+    for P in transitions:
+        flow.append(np.bincount(edges.dst, flow[-1][edges.src] * P, minlength=edges.n))
+    return np.array(flow)
 
 
 def _check_feasible(prior: PriorChain, supp0: np.ndarray, suppN: np.ndarray) -> None:

@@ -20,7 +20,7 @@ from .errors import ConvergenceError, InfeasibleBudgetError, InfeasibleError, \
     NetbridgeError
 from .graph import DirectedGraph, Path, path_length, path_sum_range
 from .metrics import PathMeasure, average_path_length, entropy, measure_from_chain
-from .prior import boltzmann_prior, check_temperature, log_path_masses
+from .prior import PriorChain, boltzmann_prior, check_temperature, log_path_masses
 
 BRACKET_START = (1e-2, 1e2)
 BRACKET_LIMIT = (1e-6, 1e6)
@@ -34,18 +34,6 @@ class TemperatureLimit(enum.Enum):
 
     ZERO = "zero"
     INFINITY = "infinity"
-
-
-@dataclass(frozen=True)
-class LengthBudget:
-    """A target average path length, optionally annotated with its feasible range."""
-
-    value: float
-    bounds: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError(f"budget must be finite, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -120,27 +108,20 @@ def length_variance(sol: BridgeSolution, g: DirectedGraph) -> float:
 def _family_bounds(g: DirectedGraph, nu0: np.ndarray, nuN: np.ndarray,
                    N: int) -> tuple[float, float, float] | None:
     """(min, max, plain mean) of the lengths of the N-step paths joining a
-    delta-pinned pair, the mean by a count/length-sum backward recursion
-    from the target; None unless both ends are deltas."""
+    delta-pinned pair, the mean that of the bridge over the counting prior
+    (T -> infinity); None unless both ends are deltas."""
     s0 = np.flatnonzero(nu0 > 0)
     sN = np.flatnonzero(nuN > 0)
     if len(s0) != 1 or len(sN) != 1:
         return None
     edges = g.edge_index
-    src, dst, lengths = edges.src, edges.dst, g.lengths
     lo, hi = path_sum_range(edges, np.ones((N, edges.E), dtype=bool),
-                            np.broadcast_to(lengths, (N, edges.E)), sN[0] + 1)
-    count = (np.arange(g.n) == sN[0]).astype(float)
-    total = np.zeros(g.n)
-    for _ in range(N):
-        total = np.bincount(src, total[dst] + lengths * count[dst], minlength=g.n)
-        count = np.bincount(src, count[dst], minlength=g.n)
-        scale = count.max() or 1.0  # only ratios matter; keeps counts finite
-        total, count = total / scale, count / scale
+                            np.broadcast_to(g.lengths, (N, edges.E)), sN[0] + 1)
     s = s0[0]
-    if count[s] == 0.0:
+    if lo[0][s] == np.inf:
         raise InfeasibleError(f"no {N}-step path from node {s + 1} to node {sN[0] + 1}")
-    return float(lo[0][s]), float(hi[0][s]), float(total[s] / count[s])
+    counting = solve_schrodinger(PriorChain(edges, np.zeros((N, edges.E)), nu0), nu0, nuN)
+    return float(lo[0][s]), float(hi[0][s]), average_path_length(counting, g)
 
 
 def _bracket_end(probe, beyond, T: float, limit: float, inner: float,
@@ -184,7 +165,7 @@ def _bracket_end(probe, beyond, T: float, limit: float, inner: float,
         T = float(np.sqrt(failed * inner))
 
 
-def calibrate_temperature(g: DirectedGraph, nu0, nuN, N: int, budget,
+def calibrate_temperature(g: DirectedGraph, nu0, nuN, N: int, budget: float,
                           tol: float = 1e-8,
                           config: SolverConfig | None = None) -> CalibrationResult:
     """Find the temperature whose bridge attains a target average length.
@@ -205,7 +186,7 @@ def calibrate_temperature(g: DirectedGraph, nu0, nuN, N: int, budget,
     """
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
-    target = budget.value if isinstance(budget, LengthBudget) else float(budget)
+    target = float(budget)
     if not np.isfinite(target):
         raise ValueError(f"budget must be finite, got {target}")
     nu0 = as_marginal(nu0, g.n)

@@ -4,11 +4,15 @@ Exit codes: 0 success, 1 usage/input errors, 2 infeasible instances,
 3 non-convergence (the solver's sweep cap, or a budget that needs a
 temperature at which the length does not evaluate), 4 a failed `verify`
 check.  Diagnostics go to stderr; documents go to --output (default
-stdout).  All floats in emitted documents are rounded to 12 significant
-digits before any derived quantity is computed from them, so a document is
-exactly self-consistent and two runs with the same configuration produce
-byte-identical output.  JSON has no literals for non-finite numbers; they
-are emitted as the strings "inf", "-inf", "nan".
+stdout), and two runs with the same configuration produce byte-identical
+output.  The `solve` JSON and `oracle` documents round their arrays to 12
+significant digits before any quantity is derived from them, so each is
+exactly self-consistent; `sweep`, `calibrate`, `verify`, `paths` and
+`metrics` round each value as they emit it.  `solve --format csv` writes
+the solver's marginals, so it can differ in the 12th digit from the JSON's
+marginal_flow, which is re-propagated through the rounded transitions.
+JSON has no literals for non-finite numbers; they are emitted as the
+strings "inf", "-inf", "nan".
 
 Every JSON document has the same line layout: "{", then one sorted
 top-level key per line as "key":value with each value written compactly,
@@ -38,7 +42,7 @@ import numpy as np
 
 from ._numeric import sig12
 from .bridge import BridgeSolution, SolverConfig, as_marginal, delta_marginal, \
-    solve_schrodinger
+    push_flow, solve_schrodinger
 from .calibrate import TemperatureLimit, calibrate_temperature, temperature_sweep
 from .errors import ConvergenceError, EnumerationCapError, GraphFormatError, \
     InfeasibleBudgetError, InfeasibleError
@@ -234,14 +238,11 @@ def _rounded_solution(sol: BridgeSolution) -> BridgeSolution:
     # computed from them agree with the chain-form averages to reassociation
     # error.
     transitions = _round_array(sol.transitions)
-    src, dst = sol.edges.src, sol.edges.dst
-    flow = [_round_array(sol.marginals[0])]
-    for P in transitions:
-        flow.append(np.bincount(dst, flow[-1][src] * P, minlength=sol.n))
+    flow = push_flow(sol.edges, _round_array(sol.marginals[0]), transitions)
     with np.errstate(divide="ignore"):
         log_transitions = np.log(transitions)
     return replace(sol, log_weights=log_transitions, mu0=flow[0],
-                   transitions=transitions, marginals=np.array(flow))
+                   transitions=transitions, marginals=flow)
 
 
 def _path_key(p) -> str:

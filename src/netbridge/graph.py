@@ -294,10 +294,12 @@ def step_paths(edges: EdgeIndex, supports, source: int | None = None,
 
     N is len(supports); `supports` is as for step_reach.  Paths are
     optionally pinned at one or both endpoints and come back in
-    lexicographic node order.  The depth-first walk enters only successors
-    that step_reach says can still finish, so no branch dies.  Exceeding
-    `cap` paths raises EnumerationCapError rather than truncating; a
-    negative cap raises ValueError.
+    lexicographic node order.  A float64 backward count of the paths from
+    each node (exact below 2**53, large or inf past that, never wrapped)
+    refuses a family of more than `cap` paths with EnumerationCapError
+    before the walk starts; a negative cap raises ValueError.  The
+    depth-first walk enters only successors with a positive count, so no
+    branch dies.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -306,8 +308,15 @@ def step_paths(edges: EdgeIndex, supports, source: int | None = None,
         if x is not None and not (1 <= x <= n):
             raise ValueError(f"{name} node {x} out of range 1..{n}")
     N = len(supports)
-    ends = np.ones(n, dtype=bool) if target is None else np.arange(1, n + 1) == target
-    ok = step_reach(edges, supports, ends)
+    counts = [np.ones(n) if target is None else (np.arange(1, n + 1) == target) * 1.0]
+    starts = np.arange(n) if source is None else np.array([source - 1])
+    with np.errstate(over="ignore"):
+        for S in reversed(supports):
+            step = np.where(np.asarray(S, dtype=bool), counts[-1][edges.dst], 0.0)
+            counts.append(np.bincount(edges.src, step, minlength=n))
+        if float(counts[-1][starts].sum()) > cap:  # exact for any int cap
+            raise EnumerationCapError(f"more than {cap} feasible paths; refusing to enumerate")
+    ok = [c > 0.0 for c in reversed(counts)]
     live: dict[tuple[int, int], list[int]] = {}  # (t, v) -> successors that finish
     out: list[Path] = []
     stack: list[int] = []
@@ -315,10 +324,6 @@ def step_paths(edges: EdgeIndex, supports, source: int | None = None,
     def visit(v: int, t: int):
         stack.append(v)
         if t == N:
-            if len(out) >= cap:
-                raise EnumerationCapError(
-                    f"more than {cap} feasible paths; refusing to enumerate"
-                )
             out.append(tuple(stack))
         else:
             nexts = live.get((t, v))
@@ -331,9 +336,8 @@ def step_paths(edges: EdgeIndex, supports, source: int | None = None,
                 visit(w, t + 1)
         stack.pop()
 
-    for s in range(1, n + 1) if source is None else [source]:
-        if ok[0][s - 1]:
-            visit(s, 0)
+    for s in starts[ok[0][starts]].tolist():
+        visit(s + 1, 0)
     return out
 
 

@@ -11,7 +11,6 @@ from netbridge import (
     DirectedGraph,
     InfeasibleBudgetError,
     InfeasibleError,
-    LengthBudget,
     SolverConfig,
     TemperatureLimit,
     as_marginal,
@@ -61,11 +60,6 @@ class TestCalibration:
             assert not res.at_bound
             assert abs(res.achieved_length - target) <= 1e-8
             assert abs(curve_g9(res.temperature) - target) <= 1e-8
-
-    def test_budget_object_accepted(self, g9):
-        res = calibrate_temperature(g9, delta(9, 1), delta(9, 9), 4,
-                                    LengthBudget(3.2))
-        assert abs(res.achieved_length - 3.2) <= 1e-8
 
     def test_budget_at_minimum_is_zero_limit(self, g9):
         res = calibrate_temperature(g9, delta(9, 1), delta(9, 9), 4, 3.0)

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +216,27 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
             enumerate_feasible_paths(g9, 2, source=1, target=9, cap=-1)
 
+    def test_cap_is_decided_by_counting_before_the_walk(self, g9):
+        # 2**41 paths: refused before any of them is built
+        loops = DirectedGraph(2, ((1, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0), (2, 2, 1.0)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match="more than 100000 feasible"):
+                enumerate_feasible_paths(loops, 40, cap=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # 20**301 paths overflow a float count to inf, never to a small value;
+        # a cap past any int64 or double still compares exactly
+        complete = DirectedGraph(20, tuple((u, v, 1.0) for u in range(1, 21)
+                                           for v in range(1, 21)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EnumerationCapError):
+                enumerate_feasible_paths(complete, 300, cap=10 ** 30)
+        assert len(enumerate_feasible_paths(g9, 4, source=1, cap=10 ** 400)) == 8
+
     def test_infeasible_pair_is_empty(self, g9):
         assert enumerate_feasible_paths(g9, 2, source=1, target=9) == []
         assert enumerate_feasible_paths(g9, 3, source=9, target=1) == []
@@ -255,6 +278,10 @@ class TestStepRoutines:
         want = [p for p in brute_force_paths(n, dense)
                 if source in (None, p[0]) and target in (None, p[-1])]
         assert step_paths(edges, rows, source, target) == want
+        cap = data.draw(st.integers(0, len(want)))  # the count decides the cap
+        if cap < len(want):
+            with pytest.raises(EnumerationCapError):
+                step_paths(edges, rows, source, target, cap)
 
     @settings(max_examples=100)
     @given(step_supports())

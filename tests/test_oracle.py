@@ -338,6 +338,31 @@ class TestVerifyBattery:
         value, tol = {name: (v, t) for name, v, t in checks}["solver-vs-oracle"]
         assert value > tol
 
+    def test_transitions_view_losing_half_a_row_fails_path_normalization(self, g9):
+        # the log weights still score every path right; only the flow sum sees it
+        nu0, nuN = delta_marginal(9, 1), delta_marginal(9, 9)
+        sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 4), nu0, nuN)
+        P = sol.transitions.copy()
+        P[0, sol.edges.out_edges(0)] *= 0.5
+        checks, _ = run_battery(g9, nu0, nuN, 4, replace(sol, transitions=P))
+        values = {name: v for name, v, _ in checks}
+        assert values["path-normalization"] == pytest.approx(0.5, rel=1e-12)
+        assert values["solver-vs-oracle"] <= 1e-15
+
+    def test_mass_routed_off_the_target_fails_solver_vs_oracle(self, g9):
+        # 1-2-3-8 and 1-3-4-8 carry 0.5 each; half of node 3's last step is
+        # moved from 3 -> 8 onto 3 -> 4, off supp nuN and off every oracle
+        # path.  The whole moved mass counts, not only its loss on 1-2-3-8.
+        nu0, nuN = delta_marginal(9, 1), delta_marginal(9, 8)
+        sol = solve_schrodinger(boltzmann_prior(g9, 1.0, 3), nu0, nuN)
+        bad = sol.log_weights.copy()
+        bad[2, g9.edge_index.find([2, 2], [7, 3])] = math.log(0.5)
+        corrupted = replace(sol, log_weights=bad, transitions=np.exp(bad))
+        checks, _ = run_battery(g9, nu0, nuN, 3, corrupted)
+        values = {name: v for name, v, _ in checks}
+        assert values["solver-vs-oracle"] == pytest.approx(0.25, rel=1e-12)
+        assert values["path-normalization"] <= 1e-15
+
     def test_diffuse_source_checks_its_heaviest_node(self, g9):
         # nu0 is no delta, so the restriction ratio needs a 1 -> 9 bridge of its own
         nu0 = as_marginal([0.6, 0.4, 0, 0, 0, 0, 0, 0, 0], 9)
