@@ -234,6 +234,5 @@ def most_probable_paths(chain: PriorChain, source: int, target: int) -> list[Pat
     cut = top + np.log1p(-ARGMAX_REL_TOL) - 4 * (N + 1) * np.finfo(float).eps * scale
     paths = step_paths(edges, through >= cut, source, target)
     log_m = log_path_masses(chain, paths)
-    top = log_m.max()
-    return [p for p, m in zip(paths, log_m) if m >= top + np.log1p(-ARGMAX_REL_TOL)]
+    return list(map(tuple, paths[log_m >= log_m.max() + np.log1p(-ARGMAX_REL_TOL)].tolist()))
 

@@ -18,7 +18,7 @@ import numpy as np
 from .bridge import BridgeSolution, SolverConfig, as_marginal, solve_schrodinger
 from .errors import ConvergenceError, InfeasibleBudgetError, InfeasibleError, \
     NetbridgeError
-from .graph import DirectedGraph, Path, path_length, path_sum_range
+from .graph import DirectedGraph, Path, path_lengths, path_sum_range
 from .metrics import PathMeasure, average_path_length, entropy, measure_from_chain
 from .prior import PriorChain, boltzmann_prior, check_temperature, log_path_masses
 
@@ -295,7 +295,7 @@ class TransportApproximation:
     temperature: float
     measure: PathMeasure
     minimal_length: float
-    minimal_paths: tuple[Path, ...]
+    minimal_paths: np.ndarray  # rows of measure.paths, in its order
     minimal_mass: float
 
 
@@ -319,11 +319,10 @@ def omt_approximation(g: DirectedGraph, nu0, nuN, N: int,
     T_small = check_temperature(T_small)
     sol = solve_schrodinger(boltzmann_prior(g, T_small, N), nu0, nuN, config)
     measure = measure_from_chain(sol)
-    lengths = {p: path_length(g, p) for p in measure.masses}
-    lmin = min(lengths.values())
-    minimal = tuple(sorted(p for p, l in lengths.items() if l <= lmin + 1e-9))
-    mass = sum(measure.masses[p] for p in minimal) / measure.total()
+    lengths = path_lengths(g, measure.paths)
+    minimal = lengths <= lengths.min() + 1e-9
     return TransportApproximation(
-        temperature=T_small, measure=measure, minimal_length=lmin,
-        minimal_paths=minimal, minimal_mass=float(mass),
+        temperature=T_small, measure=measure, minimal_length=float(lengths.min()),
+        minimal_paths=measure.paths[minimal],
+        minimal_mass=float(measure.masses[minimal].sum() / measure.total()),
     )

@@ -288,8 +288,9 @@ def _flow_doc(g: DirectedGraph, sol: BridgeSolution, T: float, bits: bool,
                   for j in targets)
     doc["path_count"] = n_paths
     if n_paths <= path_cap:
-        masses = measure_from_chain(rounded, path_cap).masses
-        doc["path_masses"] = {_path_key(p): m for p, m in masses.items()}
+        measure = measure_from_chain(rounded, path_cap)
+        doc["path_masses"] = dict(zip(map(_path_key, measure.paths.tolist()),
+                                      measure.masses.tolist()))
     else:
         doc["path_masses"] = None
     return doc
@@ -545,14 +546,12 @@ def cmd_oracle(args) -> int:
     nu0 = _resolve_marginal(g.n, args.from_delta, args.from_spec, "from")
     nuN = _resolve_marginal(g.n, args.to_delta, args.to_spec, "to")
     prior = boltzmann_prior(g, args.temperature, args.horizon)
+    # the oracle's rows come in lexicographic order
     measure = oracle_bridge(prior, nu0, nuN)
-    rounded = PathMeasure(args.horizon, {p: sig12(m)
-                                         for p, m in sorted(measure.masses.items())})
-    masses = {_path_key(p): m for p, m in rounded.masses.items()}
-    flow = np.zeros((args.horizon + 1, g.n))
-    for p, m in rounded.masses.items():
-        for t, x in enumerate(p):
-            flow[t, x - 1] += m
+    rounded = PathMeasure(args.horizon, measure.paths, _round_array(measure.masses))
+    masses = dict(zip(map(_path_key, rounded.paths.tolist()), rounded.masses.tolist()))
+    flow = np.array([np.bincount(x - 1, rounded.masses, minlength=g.n)
+                     for x in rounded.paths.T])
     L = average_path_length(rounded, g)
     S = entropy(rounded)
     doc = {

@@ -1,11 +1,13 @@
 """Directed graphs with edge lengths: loading, path enumeration, distances.
 
-Nodes are numbered 1..n in documents and in path tuples; index arrays are
+Nodes are numbered 1..n in documents and in paths; index arrays are
 0-based internally.  Per-step quantities (prior weights, transition
 probabilities, supports) are (N, E) arrays over an EdgeIndex, one column
-per edge.  Edge lookups go through EdgeIndex.find and out_edges; no n x n
-array is built.  An absent edge has infinite length, which is computed on
-demand and never stored.
+per edge, and a path family is a (P, N+1) intp array, one path per row.
+Edge lookups go through EdgeIndex.find and out_edges, and distances come
+one Dijkstra row at a time; only shortest_path_matrix, by its contract,
+builds an n x n array.  An absent edge has infinite length, which is
+computed on demand and never stored.
 """
 
 from __future__ import annotations
@@ -215,14 +217,17 @@ def path_length(g: DirectedGraph, p: Sequence[int]) -> float:
     for x in p:
         if not (1 <= x <= g.n):
             raise ValueError(f"node {x} out of range 1..{g.n}")
-    ids = g.edge_index.find(np.array(p[:-1], dtype=np.intp) - 1,
-                            np.array(p[1:], dtype=np.intp) - 1)
-    if np.any(ids < 0):
-        return float("inf")
-    # in path order: np.sum (pairwise) and sum() (compensated) change the last bit
-    total = 0.0
-    for w in g.lengths[ids].tolist():
-        total += w
+    return float(path_lengths(g, np.array([p], dtype=np.intp))[0])
+
+
+def path_lengths(g: DirectedGraph, paths: np.ndarray) -> np.ndarray:
+    """Length of each row of a (P, N+1) array of node ids in 1..n, summed
+    from 0.0 in step order; +inf for a row with a step that is not an edge."""
+    ids = g.edge_index.find(paths[:, :-1] - 1, paths[:, 1:] - 1)
+    lengths = np.append(g.lengths, np.inf)  # id -1, no edge, reads inf
+    total = np.zeros(len(paths))
+    for col in ids.T:  # in step order: np.sum (pairwise) would change the last bit
+        total += lengths[col]
     return total
 
 
@@ -289,17 +294,19 @@ def require_routes(block: np.ndarray, supp0: np.ndarray, suppN: np.ndarray,
 
 
 def step_paths(edges: EdgeIndex, supports, source: int | None = None,
-               target: int | None = None, cap: int = PATH_CAP) -> list[Path]:
-    """All paths x_0..x_N whose step t runs along an edge in supports[t].
+               target: int | None = None, cap: int = PATH_CAP) -> np.ndarray:
+    """All paths x_0..x_N whose step t runs along an edge in supports[t], as
+    a (P, N+1) intp array of 1-based node ids, one path per row.
 
     N is len(supports); `supports` is as for step_reach.  Paths are
     optionally pinned at one or both endpoints and come back in
     lexicographic node order.  A float64 backward count of the paths from
-    each node (exact below 2**53, large or inf past that, never wrapped)
+    each node (exact below 2**53, large or inf past it, never wrapped)
     refuses a family of more than `cap` paths with EnumerationCapError
-    before the walk starts; a negative cap raises ValueError.  The
-    depth-first walk enters only successors with a positive count, so no
-    branch dies.
+    before any path is built; a negative cap raises ValueError.  The
+    family is then built one level at a time: each row is repeated once
+    per live out-edge of its last node (one whose head still has a
+    positive count), taken in EdgeIndex.order, so no row dies.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -307,7 +314,6 @@ def step_paths(edges: EdgeIndex, supports, source: int | None = None,
     for name, x in (("source", source), ("target", target)):
         if x is not None and not (1 <= x <= n):
             raise ValueError(f"{name} node {x} out of range 1..{n}")
-    N = len(supports)
     counts = [np.ones(n) if target is None else (np.arange(1, n + 1) == target) * 1.0]
     starts = np.arange(n) if source is None else np.array([source - 1])
     with np.errstate(over="ignore"):
@@ -316,29 +322,20 @@ def step_paths(edges: EdgeIndex, supports, source: int | None = None,
             counts.append(np.bincount(edges.src, step, minlength=n))
         if float(counts[-1][starts].sum()) > cap:  # exact for any int cap
             raise EnumerationCapError(f"more than {cap} feasible paths; refusing to enumerate")
-    ok = [c > 0.0 for c in reversed(counts)]
-    live: dict[tuple[int, int], list[int]] = {}  # (t, v) -> successors that finish
-    out: list[Path] = []
-    stack: list[int] = []
-
-    def visit(v: int, t: int):
-        stack.append(v)
-        if t == N:
-            out.append(tuple(stack))
-        else:
-            nexts = live.get((t, v))
-            if nexts is None:
-                e = edges.out_edges(v - 1)
-                w = edges.dst[e]
-                nexts = (w[np.asarray(supports[t], dtype=bool)[e] & ok[t + 1][w]] + 1).tolist()
-                live[(t, v)] = nexts
-            for w in nexts:
-                visit(w, t + 1)
-        stack.pop()
-
-    for s in starts[ok[0][starts]].tolist():
-        visit(s + 1, 0)
-    return out
+    counts.reverse()
+    paths = starts[counts[0][starts] > 0.0][:, None]
+    src, dst = edges.src[edges.order], edges.dst[edges.order]
+    for t, S in enumerate(supports):
+        live = np.flatnonzero(np.asarray(S, dtype=bool)[edges.order] & (counts[t + 1][dst] > 0.0))
+        deg = np.bincount(src[live], minlength=n)
+        first = np.cumsum(deg) - deg  # v's live out-edges start at live[first[v]]
+        last = paths[:, -1]
+        reps = deg[last]
+        # row r's copies take live[first[last[r]]:][:reps[r]] in turn
+        at = np.repeat(first[last] - np.cumsum(reps) + reps, reps)
+        paths = np.column_stack((np.repeat(paths, reps, axis=0),
+                                 dst[live[at + np.arange(at.size)]]))
+    return paths + 1
 
 
 def enumerate_feasible_paths(
@@ -348,15 +345,15 @@ def enumerate_feasible_paths(
     target: int | None = None,
     cap: int = PATH_CAP,
 ) -> list[Path]:
-    """All N-step paths along edges, optionally pinned at one or both endpoints.
+    """All N-step paths along edges, optionally pinned at one or both endpoints,
+    as tuples in lexicographic node order (step_paths' rows).
 
-    Paths are returned in lexicographic node order (see step_paths).
     Exceeding `cap` paths raises EnumerationCapError rather than truncating.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    return step_paths(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
-                      source, target, cap)
+    return list(map(tuple, step_paths(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
+                                      source, target, cap).tolist()))
 
 
 def path_counts(g: DirectedGraph, N: int, target: int | None = None) -> np.ndarray:
@@ -387,13 +384,13 @@ def count_feasible_paths(g: DirectedGraph, N: int, source: int | None = None,
     return int(counts[source - 1] if source is not None else counts.sum())
 
 
-def shortest_path_matrix(g: DirectedGraph) -> np.ndarray:
-    """All-pairs directed distances d[i-1, j-1]; d_ii = 0, +inf when unreachable."""
+def distance_rows(g: DirectedGraph):
+    """Yield, for s = 1..n in turn, the directed distances from s to every
+    node by Dijkstra on the edge list: 0 at s, +inf where unreachable."""
     n, edges = g.n, g.edge_index
     dst, lengths = edges.dst.tolist(), g.lengths.tolist()
     # (target, length) per node, by ascending target
     succ = [[(dst[e], lengths[e]) for e in edges.out_edges(u).tolist()] for u in range(n)]
-    D = np.full((n, n), np.inf)
     for s in range(n):
         dist = [float("inf")] * n
         dist[s] = 0.0
@@ -407,9 +404,12 @@ def shortest_path_matrix(g: DirectedGraph) -> np.ndarray:
                 if nd < dist[v]:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
-        D[s] = dist
-        D[s, s] = 0.0
-    return D
+        yield np.array(dist)
+
+
+def shortest_path_matrix(g: DirectedGraph) -> np.ndarray:
+    """All-pairs directed distances d[i-1, j-1]: distance_rows stacked."""
+    return np.array(list(distance_rows(g)))
 
 
 def g9_network(l79: float = 1.0) -> DirectedGraph:

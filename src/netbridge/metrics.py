@@ -2,54 +2,52 @@
 
 Length/entropy accept either an explicit path measure or a solved bridge;
 for a bridge they use the Markov chain-rule forms, which tests cross-check
-against direct enumeration.  Entropies are in nats.
+against direct enumeration.  An explicit measure is two arrays, paths
+(P, N+1) and masses (P,), read by array expressions.  Entropies are in nats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bridge import BridgeSolution
-from .graph import PATH_CAP, DirectedGraph, Path, path_length, shortest_path_matrix, \
-    step_paths
+from .graph import PATH_CAP, DirectedGraph, distance_rows, path_lengths, step_paths
 from .prior import PriorChain, check_temperature, log_path_masses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathMeasure:
-    """A nonnegative measure on N-step paths, stored as a path -> mass mapping."""
+    """A nonnegative measure on N-step paths: row k of `paths`, a (P, N+1)
+    array of node ids, carries mass masses[k].  P >= 1 and rows are distinct."""
 
     N: int
-    masses: dict[Path, float]
+    paths: np.ndarray
+    masses: np.ndarray
 
     def __post_init__(self):
-        if self.N < 0:
-            raise ValueError(f"N must be >= 0, got {self.N}")
-        if not self.masses:
+        N, paths, m = self.N, np.asarray(self.paths), np.asarray(self.masses, dtype=float)
+        if N < 0:
+            raise ValueError(f"N must be >= 0, got {N}")
+        if paths.ndim == 0 or len(paths) == 0:
             raise ValueError("a path measure needs at least one path")
-        clean: dict[Path, float] = {}
-        for p, m in self.masses.items():
-            p = tuple(int(x) for x in p)
-            if len(p) != self.N + 1:
-                raise ValueError(f"path {p} has {len(p) - 1} steps, expected {self.N}")
-            m = float(m)
-            if not np.isfinite(m) or m < 0:
-                raise ValueError(f"mass of {p} must be finite and >= 0, got {m}")
-            if p in clean:
-                raise ValueError(f"duplicate path {p}")
-            clean[p] = m
-        object.__setattr__(self, "masses", clean)
+        if (paths.shape[1:] != (N + 1,) or m.shape != paths.shape[:1]
+                or paths.dtype.kind not in "iu" or paths.min() < 1):
+            raise ValueError(f"need a (P, {N + 1}) array of node ids >= 1 and P masses, "
+                             f"got {paths.dtype} paths {paths.shape}, masses {m.shape}")
+        for k in np.flatnonzero(~(np.isfinite(m) & (m >= 0)))[:1]:
+            raise ValueError(f"mass of {tuple(paths[k].tolist())} must be finite and >= 0, "
+                             f"got {m[k]}")
+        _, first, count = np.unique(paths, axis=0, return_index=True, return_counts=True)
+        for k in first[count > 1][:1]:
+            raise ValueError(f"duplicate path {tuple(paths[k].tolist())}")
+        object.__setattr__(self, "paths", paths.astype(np.intp, copy=False))
+        object.__setattr__(self, "masses", m)
 
     def total(self) -> float:
-        return float(sum(self.masses.values()))
-
-    def normalized(self) -> "PathMeasure":
-        z = self.total()
-        if z <= 0:
-            raise ValueError("cannot normalize a zero measure")
-        return PathMeasure(self.N, {p: m / z for p, m in self.masses.items()})
+        return float(self.masses.sum())
 
 
 def measure_from_chain(chain: PriorChain, cap: int = PATH_CAP) -> PathMeasure:
@@ -63,8 +61,16 @@ def measure_from_chain(chain: PriorChain, cap: int = PATH_CAP) -> PathMeasure:
     if chain.N:
         supports[0] &= chain.mu0[chain.edges.src] > 0.0
     paths = step_paths(chain.edges, supports, cap=cap)
-    masses = np.exp(log_path_masses(chain, paths)).tolist()
-    return PathMeasure(chain.N, {p: m for p, m in zip(paths, masses) if m > 0.0})
+    masses = np.exp(log_path_masses(chain, paths))
+    keep = masses > 0.0
+    return PathMeasure(chain.N, paths[keep], masses[keep])
+
+
+def _masses_on(Q: PathMeasure, paths: np.ndarray) -> np.ndarray:
+    """Q's mass on each row of `paths`, 0 where Q has no such path."""
+    _, inv = np.unique(np.concatenate((Q.paths, paths)), axis=0, return_inverse=True)
+    inv, k = inv.reshape(-1), len(Q.paths)
+    return np.bincount(inv[:k], Q.masses, minlength=inv.size)[inv[k:]]  # Q's rows are distinct
 
 
 def _check_probability(P: PathMeasure) -> None:
@@ -103,15 +109,15 @@ def average_path_length(measure, g: DirectedGraph) -> float:
             return float("inf")
         return float((W[mask] * np.broadcast_to(lengths, W.shape)[mask]).sum())
     if isinstance(measure, PathMeasure):
-        total = 0.0
-        for p, m in measure.masses.items():
-            if m == 0.0:
-                continue
-            l = path_length(g, p)
-            if not np.isfinite(l):
-                return float("inf")
-            total += m * l
-        return total
+        pos = measure.masses > 0.0
+        paths = measure.paths[pos]
+        for x in paths[paths > g.n][:1]:
+            raise ValueError(f"node {x} out of range 1..{g.n}")
+        lengths = path_lengths(g, paths)
+        if np.isinf(lengths).any():
+            return float("inf")
+        # summed in path order, as a left fold from 0.0
+        return float(np.cumsum(measure.masses[pos] * lengths)[-1]) if pos.any() else 0.0
     raise TypeError(f"unsupported measure type: {type(measure).__name__}")
 
 
@@ -129,8 +135,7 @@ def entropy(measure) -> float:
         return _vector_entropy(measure.marginals[0]) + float((mu * h).sum())
     if isinstance(measure, PathMeasure):
         _check_probability(measure)
-        m = np.array([x for x in measure.masses.values() if x > 0.0])
-        return float(-(m * np.log(m)).sum()) if m.size else 0.0
+        return _vector_entropy(measure.masses)
     raise TypeError(f"unsupported measure type: {type(measure).__name__}")
 
 
@@ -151,13 +156,13 @@ def relative_entropy(P: PathMeasure, Q) -> float:
         raise TypeError(f"unsupported reference measure type: {type(Q).__name__}")
     if Q.N != P.N:
         raise ValueError(f"horizon mismatch: P has N={P.N}, Q has N={Q.N}")
-    paths = [p for p, m in P.masses.items() if m > 0.0]
-    m = np.array([P.masses[p] for p in paths])
+    keep = P.masses > 0.0
+    paths, m = P.paths[keep], P.masses[keep]
     if isinstance(Q, PriorChain):
         log_q = log_path_masses(Q, paths)
     else:
         with np.errstate(divide="ignore"):
-            log_q = np.log([Q.masses.get(p, 0.0) for p in paths])
+            log_q = np.log(_masses_on(Q, paths))
     if np.any(log_q == -np.inf):
         return float("inf")
     return float((m * (np.log(m) - log_q)).sum())
@@ -174,12 +179,11 @@ def free_energy(measure, T: float, g: DirectedGraph) -> EfficiencyReport:
 
 
 def total_variation(P: PathMeasure, Q: PathMeasure) -> float:
-    """Total variation distance 0.5 * sum |P - Q| over the union of supports."""
+    """Total variation 0.5 * sum |P - Q|: over P's paths, plus Q's mass off them."""
     if P.N != Q.N:
         raise ValueError(f"horizon mismatch: {P.N} vs {Q.N}")
-    keys = set(P.masses) | set(Q.masses)
-    return 0.5 * float(sum(abs(P.masses.get(p, 0.0) - Q.masses.get(p, 0.0))
-                           for p in keys))
+    q = _masses_on(Q, P.paths)
+    return 0.5 * float(np.abs(P.masses - q).sum() + max(Q.total() - q.sum(), 0.0))
 
 
 @dataclass(frozen=True)
@@ -203,21 +207,17 @@ class GraphEfficiencyStats:
 def graph_efficiency_stats(g: DirectedGraph) -> GraphEfficiencyStats:
     if g.n < 2:
         raise ValueError("efficiency statistics need at least two nodes")
-    D = shortest_path_matrix(g)
-    off = ~np.eye(g.n, dtype=bool)
-    d = D[off]
-    pairs = g.n * (g.n - 1)
-    char = float(d.sum() / pairs) if np.all(np.isfinite(d)) else float("inf")
-    finite = d[np.isfinite(d)]
-    reach = float(finite.mean()) if finite.size else float("inf")
-    if np.any(np.isfinite(d) & (d == 0.0)):
-        eff = float("inf")  # zero-length route between distinct nodes
-    else:
-        inv = np.zeros_like(d)
-        pos = np.isfinite(d)
-        inv[pos] = 1.0 / d[pos]
-        eff = float(inv.sum() / pairs)
+    # one Dijkstra row at a time; fsum keeps the sums over i != j exact
+    count, sums, inverse = 0, [], []
+    for s, row in enumerate(distance_rows(g)):
+        d = np.delete(row, s)
+        d = d[np.isfinite(d)]
+        count += d.size
+        sums.append(math.fsum(d.tolist()))
+        with np.errstate(divide="ignore"):  # a zero-length route: 1/d = inf
+            inverse.append(math.fsum((1.0 / d).tolist()))
+    pairs, total = g.n * (g.n - 1), math.fsum(sums)
     return GraphEfficiencyStats(
-        n=g.n, characteristic_length=char,
-        reachable_pair_average=reach, global_efficiency=eff,
-    )
+        n=g.n, characteristic_length=total / pairs if count == pairs else float("inf"),
+        reachable_pair_average=total / count if count else float("inf"),
+        global_efficiency=math.fsum(inverse) / pairs)

@@ -6,7 +6,8 @@ prior, so alternating row/column scaling of the kernel followed by
 distributing each endpoint mass over the conditioned prior paths gives the
 exact answer by a deliberately different route.  The kernel is summed in
 log space from the prior's paths between the marginals' supports,
-enumerated once, and scaled on log potentials, so no weight underflows and
+enumerated once as a (P, N+1) array, checked against a forward pass over
+the edge list, and scaled on log potentials, so no weight underflows and
 the oracle checks the solver at any temperature.  It refuses instances past
 PATH_CAP such paths rather than sampling.
 
@@ -29,11 +30,10 @@ from ._numeric import logsumexp
 from .bridge import BridgeSolution, SolverConfig, as_marginal, delta_marginal, \
     most_probable_paths, push_flow, solve_schrodinger
 from .errors import ConvergenceError, InfeasibleError, NetbridgeError
-from .graph import DirectedGraph, enumerate_feasible_paths, path_length, path_sum_range, \
-    require_routes, step_paths, step_reach
+from .graph import DirectedGraph, path_lengths, path_sum_range, require_routes, step_paths, \
+    step_reach
 from .metrics import PathMeasure
-from .prior import PriorChain, boltzmann_prior, check_temperature, log_path_masses, \
-    ruelle_bowen_chain
+from .prior import PriorChain, boltzmann_prior, check_temperature, log_path_masses
 
 ORACLE_TOL = 1e-13
 ORACLE_MAX_SWEEPS = 1_000_000
@@ -41,6 +41,7 @@ ORACLE_MAX_SWEEPS = 1_000_000
 VERIFY_SEED = 0
 VERIFY_TOL_ORACLE = 1e-10
 VERIFY_TOL_INVARIANCE = 1e-9
+REACH_CHUNK = 64  # targets per step_reach call of the equal-length check
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,11 @@ def endpoint_kernel(prior: PriorChain, supp0: np.ndarray, suppN: np.ndarray) -> 
 
     Computed twice on purpose: once by enumerating paths over the prior's
     support, narrowed at the first step to supp0 and at the last to suppN,
-    and once as the ordered log-domain product of the step matrices on
-    those rows and columns.  The two must share their support and agree to
-    1e-12 relative on every log entry; disagreement means a bookkeeping bug,
-    so it raises NetbridgeError rather than returning either.
+    and once by a forward log-sum-exp pass per step over the edge list on
+    a (|supp0|, n) array, read at the columns of suppN.  The two must share
+    their support and agree to 1e-12 relative on every log entry;
+    disagreement means a bookkeeping bug, so it raises NetbridgeError
+    rather than returning either.
     """
     n, N = prior.n, prior.N
     if N < 1:
@@ -73,18 +75,17 @@ def endpoint_kernel(prior: PriorChain, supp0: np.ndarray, suppN: np.ndarray) -> 
     supports = prior.support  # a fresh array, narrowed in place
     supports[0] &= supp0[prior.edges.src]
     supports[N - 1] &= suppN[prior.edges.dst]
-    paths = np.array(step_paths(prior.edges, supports), dtype=np.intp).reshape(-1, N + 1)
+    paths = step_paths(prior.edges, supports)
     log_w = log_path_masses(PriorChain(prior.edges, prior.log_weights, np.ones(n)), paths)
     log_G = np.full((rows0.size, colsN.size), -np.inf)
     np.logaddexp.at(log_G, (np.searchsorted(rows0, paths[:, 0] - 1),
                             np.searchsorted(colsN, paths[:, -1] - 1)), log_w)
+    # prod[a, v]: log weight of the t-step walks from the a-th node of supp0 to v
+    src, dst = prior.edges.src, prior.edges.dst
     prod = np.where(rows0[:, None] == np.arange(n), 0.0, -np.inf)
-    rows = max(1, 2**22 // n**2)  # bounds each (rows, n, n) temporary at 32 MB
     for t in range(N):
-        step = np.full((n, n), -np.inf)
-        step[prior.edges.src, prior.edges.dst] = prior.log_weights[t]
-        prod = np.concatenate([logsumexp(prod[r:r + rows, :, None] + step, axis=1)
-                               for r in range(0, rows0.size, rows)])
+        prod, prev = np.full_like(prod, -np.inf), prod
+        np.logaddexp.at(prod, (slice(None), dst), prev[:, src] + prior.log_weights[t])
     prod = prod[:, colsN]
     on = prod > -np.inf
     gap = float("inf") if not np.array_equal(on, log_G > -np.inf) else float(
@@ -108,8 +109,8 @@ def oracle_bridge(prior: PriorChain, nu0, nuN) -> PathMeasure:
     if prior.N == 0:
         if float(np.abs(nu0 - nuN).max()) > 1e-12:
             raise InfeasibleError("N=0 requires identical endpoint marginals")
-        masses = {(i + 1,): float(nu0[i]) for i in np.flatnonzero(nu0 > 0)}
-        return PathMeasure(0, masses)
+        nodes = np.flatnonzero(nu0 > 0)
+        return PathMeasure(0, nodes[:, None] + 1, nu0[nodes])
     supp0, suppN = nu0 > 0.0, nuN > 0.0
     kernel = endpoint_kernel(prior, supp0, suppN)
     K = kernel.log_matrix
@@ -130,14 +131,10 @@ def oracle_bridge(prior: PriorChain, nu0, nuN) -> PathMeasure:
             f"kernel scaling did not converge in {ORACLE_MAX_SWEEPS} sweeps",
             residual=err, iterations=ORACLE_MAX_SWEEPS,
         )
-    log_a = np.full(n, -np.inf)
-    log_b = log_a.copy()
-    log_a[supp0], log_b[suppN] = a, b
-    paths = kernel.paths
-    masses = np.exp(log_a[paths[:, 0] - 1] + log_b[paths[:, -1] - 1] + kernel.log_weights)
-    keep = np.flatnonzero(masses > 0.0)
-    return PathMeasure(prior.N, dict(zip(map(tuple, paths[keep].tolist()),
-                                         masses[keep].tolist())))
+    paths, at0, atN = kernel.paths, np.cumsum(supp0) - 1, np.cumsum(suppN) - 1
+    masses = np.exp(a[at0[paths[:, 0] - 1]] + b[atN[paths[:, -1] - 1]] + kernel.log_weights)
+    keep = masses > 0.0
+    return PathMeasure(prior.N, paths[keep], masses[keep])
 
 
 def conditioned_boltzmann(g: DirectedGraph, T: float, N: int,
@@ -150,14 +147,15 @@ def conditioned_boltzmann(g: DirectedGraph, T: float, N: int,
     bridge over the Boltzmann prior; normalization happens in log space.
     """
     check_temperature(T)
-    paths = enumerate_feasible_paths(g, N, source=source, target=target)
-    if not paths:
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    paths = step_paths(g.edge_index, np.ones((N, len(g.edges)), dtype=bool), source, target)
+    if not paths.size:
         raise InfeasibleError(f"no feasible {N}-step path"
                               + (f" from node {source}" if source is not None else "")
                               + (f" to node {target}" if target is not None else ""))
-    logw = np.array([-path_length(g, p) / T for p in paths])
-    logz = logsumexp(logw)
-    return PathMeasure(N, {p: float(np.exp(lw - logz)) for p, lw in zip(paths, logw)})
+    logw = -path_lengths(g, paths) / T
+    return PathMeasure(N, paths, np.exp(logw - logsumexp(logw)))
 
 
 def _spread(lo, hi):
@@ -169,7 +167,7 @@ def _spread(lo, hi):
 
 @dataclass(frozen=True)
 class EqualLengthReport:
-    """Equal-mass check for equal-length paths under the stationary-chain bridge."""
+    """Equal-mass check for equal-length paths under the Boltzmann bridge."""
 
     pairs_checked: int
     max_spread: float
@@ -177,25 +175,29 @@ class EqualLengthReport:
 
 def verify_equal_length_masses(g: DirectedGraph, T: float, N: int,
                                config: SolverConfig | None = None) -> EqualLengthReport:
-    """Bridge every connected delta pair over the stationary chain and check
+    """Bridge every connected delta pair over the Boltzmann prior and check
     that path mass is proportional to exp(-length/T), so equal-length paths
     carry equal mass: log Pi + l/T summed over a path is then the same on
     every path of a pair.  Reports the largest spread 1 - exp(min - max) of
-    that sum.  A bridge into a delta target has transitions independent of
-    nu0, so one bridge per target, from nu0 uniform on the nodes that reach
-    it, covers all of that target's pairs.
+    that sum.  This is also the bridge over the Ruelle-Bowen chain wherever
+    that exists: its h-transform reweights a path by endpoint factors only.
+    A bridge into a delta target has transitions independent of nu0, so one
+    bridge per target, from nu0 uniform on the nodes that reach it (found
+    REACH_CHUNK targets at a time), covers all of that target's pairs.
     """
-    prior = ruelle_bowen_chain(g, T, N)
-    reach = step_reach(prior.edges, prior.support, np.eye(g.n, dtype=bool))[0]
-    max_spread = 0.0
-    for j in np.flatnonzero(reach.any(axis=0)):
-        sources = reach[:, j]
-        sol = solve_schrodinger(prior, sources / np.count_nonzero(sources),
-                                delta_marginal(g.n, j + 1), config)
-        lo, hi = path_sum_range(prior.edges, prior.support,
-                                sol.log_weights + g.lengths / T, j + 1)
-        max_spread = max(max_spread, float(_spread(lo[0], hi[0])[sources].max()))
-    return EqualLengthReport(pairs_checked=int(np.count_nonzero(reach)), max_spread=max_spread)
+    prior = boltzmann_prior(g, T, N)
+    pairs, max_spread = 0, 0.0
+    for targets in np.array_split(np.arange(g.n), range(REACH_CHUNK, g.n, REACH_CHUNK)):
+        reach = step_reach(prior.edges, prior.support, np.arange(g.n)[:, None] == targets)[0]
+        pairs += int(np.count_nonzero(reach))
+        for k in np.flatnonzero(reach.any(axis=0)):
+            j, sources = int(targets[k]), reach[:, k]
+            sol = solve_schrodinger(prior, sources / np.count_nonzero(sources),
+                                    delta_marginal(g.n, j + 1), config)
+            lo, hi = path_sum_range(prior.edges, prior.support,
+                                    sol.log_weights + g.lengths / T, j + 1)
+            max_spread = max(max_spread, float(_spread(lo[0], hi[0])[sources].max()))
+    return EqualLengthReport(pairs_checked=pairs, max_spread=max_spread)
 
 
 def iterated_bridge_check(prior: PriorChain, first, second,
@@ -260,12 +262,11 @@ def verify_battery(g: DirectedGraph, sol: BridgeSolution, nu0, nuN, T: float,
     # prior's support: the oracle's paths, less its zero masses.  So the TV
     # scores `sol` on those, plus its mass anywhere else, total - sum(b).
     ref = oracle_bridge(prior, nu0, nuN)
-    a = np.array(list(ref.masses.values()))
-    b = np.exp(log_path_masses(sol, list(ref.masses)))
+    b = np.exp(log_path_masses(sol, ref.paths))
     total = float(push_flow(sol.edges, sol.mu0, sol.transitions)[-1].sum())
     checks.append(("path-normalization", abs(total - 1.0), 1e-10))
     checks.append(("solver-vs-oracle",
-                   0.5 * float(np.abs(a - b).sum() + max(total - b.sum(), 0.0)),
+                   0.5 * float(np.abs(ref.masses - b).sum() + max(total - b.sum(), 0.0)),
                    VERIFY_TOL_ORACLE))
 
     source = int(np.argmax(nu0)) + 1

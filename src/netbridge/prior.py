@@ -138,7 +138,7 @@ def log_path_masses(chain: PriorChain, paths: Sequence[Sequence[int]]) -> np.nda
     added in step order.
     """
     N, n = chain.N, chain.n
-    for p in paths:
+    for p in paths[:1] if isinstance(paths, np.ndarray) else paths:  # rows share a width
         if len(p) != N + 1:
             raise ValueError(f"path has {len(p) - 1} steps, prior expects {N}")
     try:

@@ -304,7 +304,7 @@ def test_free_energy_splits_into_divergence_and_log_partition(g9):
         idx = rng.choice(len(family), size=size, replace=False)
         w = rng.random(size) + 0.05
         w /= w.sum()
-        P = PathMeasure(4, {family[i]: float(wi) for i, wi in zip(idx, w)})
+        P = PathMeasure(4, [family[i] for i in idx], w)
         lhs = free_energy(P, T, g9).free_energy
         rhs = (T * relative_entropy(P, conditioned_boltzmann(g9, T, 4))
                - T * math.log(partition_function(g9, T, 4)))

@@ -37,8 +37,8 @@ def doc_edges(doc):
 
 def parse_measure(doc):
     return PathMeasure(doc["horizon"],
-                       {tuple(int(x) for x in k.split("-")): v
-                        for k, v in doc["path_masses"].items()})
+                       [[int(x) for x in k.split("-")] for k in doc["path_masses"]],
+                       list(doc["path_masses"].values()))
 
 
 def assert_self_consistent(doc, g):
@@ -675,6 +675,15 @@ class TestVerify:
         assert code == 0
         assert out.count("[PASS]") == 7
         assert "[FAIL]" not in out
+
+    def test_cold_battery_passes_where_the_stationary_chain_fails(self, capsys):
+        # no Ruelle-Bowen chain exists on g9 at T = 0.002; solve and oracle
+        # answer there, and so does every check
+        code, out, err = run(capsys, "verify", "--graph", "g9",
+                             "--from-delta", "1", "--to-delta", "9",
+                             "-N", "4", "-T", "0.002", "--pairs", "2")
+        assert code == 0, err
+        assert out.count("[PASS]") == 7
 
     def test_inject_error_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -277,7 +277,9 @@ class TestStepRoutines:
         target = data.draw(st.none() | st.integers(1, n))
         want = [p for p in brute_force_paths(n, dense)
                 if source in (None, p[0]) and target in (None, p[-1])]
-        assert step_paths(edges, rows, source, target) == want
+        got = step_paths(edges, rows, source, target)
+        assert got.dtype == np.intp and got.shape == (len(want), len(rows) + 1)
+        assert got.tolist() == [list(p) for p in want]  # row order included
         cap = data.draw(st.integers(0, len(want)))  # the count decides the cap
         if cap < len(want):
             with pytest.raises(EnumerationCapError):
@@ -336,7 +338,7 @@ class TestStepRoutines:
         # at the node each tail leaves
         want_lo, want_hi = np.full((N + 1, n), np.inf), np.full((N + 1, n), -np.inf)
         for t in range(N + 1):
-            for p in step_paths(edges, rows[t:], target=target):
+            for p in step_paths(edges, rows[t:], target=target).tolist():
                 ids = edges.find(np.array(p[:-1], dtype=np.intp) - 1,
                                  np.array(p[1:], dtype=np.intp) - 1)
                 total = 0.0

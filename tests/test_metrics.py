@@ -1,6 +1,7 @@
 """Path-measure functionals and graph efficiency statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,37 +21,56 @@ from netbridge import (
     partition_function,
     path_length,
     relative_entropy,
+    shortest_path_matrix,
     solve_schrodinger,
     total_variation,
 )
 
+from conftest import random_graph
+
 
 def uniform_measure(paths, N):
-    w = 1.0 / len(paths)
-    return PathMeasure(N, {p: w for p in paths})
+    return PathMeasure(N, paths, np.full(len(paths), 1.0 / len(paths)))
 
 
 class TestPathMeasure:
     def test_total_and_normalized(self):
-        m = PathMeasure(1, {(1, 2): 0.2, (2, 3): 0.6})
+        m = PathMeasure(1, [(1, 2), (2, 3)], [0.2, 0.6])
         assert m.total() == pytest.approx(0.8)
-        norm = m.normalized()
-        assert norm.total() == pytest.approx(1.0, abs=1e-15)
-        assert norm.masses[(1, 2)] == pytest.approx(0.25)
+        assert m.paths.dtype == np.intp and m.paths.shape == (2, 2)
+        assert m.masses[0] / m.total() == pytest.approx(0.25)
 
     def test_rejects_wrong_path_length(self):
-        with pytest.raises(ValueError):
-            PathMeasure(2, {(1, 2): 1.0})
+        with pytest.raises(ValueError, match=r"need a \(P, 3\) array"):
+            PathMeasure(2, [(1, 2)], [1.0])
+        with pytest.raises(ValueError, match=r"need a \(P, 2\) array"):
+            PathMeasure(1, [1, 2], [1.0, 1.0])
 
     def test_rejects_bad_mass(self):
-        with pytest.raises(ValueError):
-            PathMeasure(1, {(1, 2): -0.5})
-        with pytest.raises(ValueError):
-            PathMeasure(1, {(1, 2): float("nan")})
+        with pytest.raises(ValueError, match="must be finite and >= 0, got -0.5"):
+            PathMeasure(1, [(1, 2)], [-0.5])
+        with pytest.raises(ValueError, match="must be finite and >= 0, got nan"):
+            PathMeasure(1, [(1, 2), (2, 1)], [1.0, float("nan")])
+        with pytest.raises(ValueError, match="got inf"):
+            PathMeasure(1, [(1, 2)], [float("inf")])
+        with pytest.raises(ValueError, match=r"masses \(1,\)"):
+            PathMeasure(1, [(1, 2), (2, 1)], [1.0])
+
+    def test_rejects_duplicate_path(self):
+        with pytest.raises(ValueError, match=r"duplicate path \(2, 1\)"):
+            PathMeasure(1, [(2, 1), (1, 2), (2, 1)], [0.2, 0.3, 0.5])
+
+    def test_rejects_bad_node_ids(self):
+        with pytest.raises(ValueError, match="node ids >= 1"):
+            PathMeasure(1, [(0, 1)], [1.0])
+        with pytest.raises(ValueError, match="node ids >= 1"):
+            PathMeasure(1, [(1.0, 2.0)], [1.0])
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            PathMeasure(1, {})
+        with pytest.raises(ValueError, match="at least one path"):
+            PathMeasure(1, np.zeros((0, 2), dtype=np.intp), [])
+        with pytest.raises(ValueError, match="at least one path"):
+            PathMeasure(1, [], [])
 
 
 class TestAverageLength:
@@ -69,8 +89,13 @@ class TestAverageLength:
         assert chain_value == pytest.approx(enum_value, abs=1e-13)
 
     def test_off_edge_mass_is_infinite(self, g9):
-        m = PathMeasure(1, {(1, 9): 1.0})
+        m = PathMeasure(1, [(1, 9)], [1.0])
         assert math.isinf(average_path_length(m, g9))
+        with pytest.raises(ValueError, match="node 10 out of range 1..9"):
+            average_path_length(PathMeasure(1, [(9, 10)], [1.0]), g9)
+        # a path with no mass is skipped, as its length does not count
+        m = PathMeasure(1, [(1, 2), (1, 9)], [1.0, 0.0])
+        assert average_path_length(m, g9) == 1.0
 
 
 class TestEntropy:
@@ -80,7 +105,7 @@ class TestEntropy:
             pytest.approx(math.log(3), rel=1e-14)
 
     def test_point_mass_entropy_zero(self):
-        assert entropy(PathMeasure(1, {(1, 2): 1.0})) == 0.0
+        assert entropy(PathMeasure(1, [(1, 2)], [1.0])) == 0.0
 
     def test_chain_rule_matches_enumeration(self, g9):
         sol = solve_schrodinger(boltzmann_prior(g9, 1.3, 4),
@@ -95,14 +120,14 @@ class TestRelativeEntropy:
         assert relative_entropy(m, m) == pytest.approx(0.0, abs=1e-14)
 
     def test_manual_two_point(self):
-        P = PathMeasure(1, {(1, 2): 0.75, (2, 1): 0.25})
-        Q = PathMeasure(1, {(1, 2): 0.5, (2, 1): 0.5})
+        P = PathMeasure(1, [(1, 2), (2, 1)], [0.75, 0.25])
+        Q = PathMeasure(1, [(2, 1), (1, 2)], [0.5, 0.5])
         want = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
         assert relative_entropy(P, Q) == pytest.approx(want, rel=1e-14)
 
     def test_support_violation_infinite(self):
-        P = PathMeasure(1, {(1, 2): 1.0})
-        Q = PathMeasure(1, {(2, 1): 1.0})
+        P = PathMeasure(1, [(1, 2)], [1.0])
+        Q = PathMeasure(1, [(2, 1)], [1.0])
         assert math.isinf(relative_entropy(P, Q))
 
     def test_cold_bridge_against_prior_chain(self, g9):
@@ -135,10 +160,9 @@ class TestFreeEnergy:
         star = conditioned_boltzmann(g9, T, 4)
         f_star = free_energy(star, T, g9).free_energy
         rng = np.random.default_rng(13)
-        paths = list(star.masses)
         for _ in range(10):
-            w = rng.dirichlet(np.ones(len(paths)))
-            competitor = PathMeasure(4, dict(zip(paths, w)))
+            w = rng.dirichlet(np.ones(len(star.paths)))
+            competitor = PathMeasure(4, star.paths, w)
             assert free_energy(competitor, T, g9).free_energy >= f_star - 1e-12
 
     def test_free_energy_equals_minus_t_log_z(self, g9):
@@ -155,13 +179,13 @@ class TestTotalVariation:
         assert total_variation(m, m) == 0.0
 
     def test_disjoint_measures(self):
-        P = PathMeasure(1, {(1, 2): 1.0})
-        Q = PathMeasure(1, {(2, 1): 1.0})
+        P = PathMeasure(1, [(1, 2)], [1.0])
+        Q = PathMeasure(1, [(2, 1)], [1.0])
         assert total_variation(P, Q) == pytest.approx(1.0)
 
     def test_manual_value(self):
-        P = PathMeasure(1, {(1, 2): 0.7, (2, 1): 0.3})
-        Q = PathMeasure(1, {(1, 2): 0.4, (2, 1): 0.6})
+        P = PathMeasure(1, [(1, 2), (2, 1)], [0.7, 0.3])
+        Q = PathMeasure(1, [(2, 1), (1, 2)], [0.6, 0.4])
         assert total_variation(P, Q) == pytest.approx(0.3, rel=1e-14)
 
 
@@ -190,3 +214,37 @@ class TestGraphEfficiency:
         a = graph_efficiency_stats(g9)
         b = graph_efficiency_stats(g9_long79)
         assert b.global_efficiency < a.global_efficiency
+
+    def test_zero_length_route_makes_efficiency_infinite(self):
+        g = DirectedGraph(3, ((1, 2, 0.0), (2, 3, 1.0), (3, 1, 1.0)))
+        stats = graph_efficiency_stats(g)
+        assert math.isinf(stats.global_efficiency)
+        # 1->2: 0, 1->3: 1, 2->3: 1, 2->1: 2, 3->1: 1, 3->2: 1
+        assert stats.characteristic_length == pytest.approx(1.0)
+
+    def test_streamed_sums_match_the_distance_matrix(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            g = random_graph(rng, int(rng.integers(2, 12)), p_edge=0.2)
+            d = shortest_path_matrix(g)[~np.eye(g.n, dtype=bool)]
+            finite = d[np.isfinite(d)]
+            stats = graph_efficiency_stats(g)
+            assert stats.reachable_pair_average == pytest.approx(finite.mean(), rel=1e-14)
+            assert stats.global_efficiency == pytest.approx(
+                (1.0 / finite).sum() / d.size, rel=1e-14)
+            if finite.size == d.size:
+                assert stats.characteristic_length == pytest.approx(d.mean(), rel=1e-14)
+            else:
+                assert math.isinf(stats.characteristic_length)
+
+    def test_memory_stays_linear_in_n(self):
+        # g1000's distance matrix alone is 8 MB; one row at a time is 8 kB
+        g = random_graph(np.random.default_rng(1), 1000, 0.005)
+        tracemalloc.start()
+        try:
+            stats = graph_efficiency_stats(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.n == 1000
+        assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"

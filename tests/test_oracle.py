@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,10 +22,12 @@ from hypothesis import assume, given, settings, strategies as st
 import netbridge
 import netbridge.oracle as oracle
 from netbridge import (
+    EdgeIndex,
     EnumerationCapError,
     InfeasibleError,
     NetbridgeError,
     PathMeasure,
+    PriorChain,
     SolverConfig,
     as_marginal,
     boltzmann_prior,
@@ -44,6 +47,7 @@ from netbridge import (
     verify_battery,
     verify_equal_length_masses,
 )
+from netbridge.graph import step_reach
 from conftest import random_graph
 
 
@@ -100,12 +104,32 @@ class TestEndpointKernel:
                         pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
+    def test_second_route_stays_on_the_edge_list(self):
+        # n = 5,000 with five out-edges a node, built by numpy: one dense
+        # n x n log step matrix would be 200 MB
+        rng = np.random.default_rng(5)
+        n, N = 5_000, 6
+        key = np.unique(np.repeat(np.arange(n), 5) * n + rng.integers(0, n, 5 * n))
+        edges = EdgeIndex(n, key // n, key % n)
+        lw = -rng.uniform(0.1, 3.0, edges.E)
+        prior = PriorChain(edges, np.broadcast_to(lw, (N, edges.E)), np.full(n, 1.0 / n))
+        tracemalloc.start()
+        try:
+            K = endpoint_kernel(prior, at(n, 1), np.ones(n, dtype=bool))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.paths.shape[1] == N + 1 and len(K.paths) > 10_000
+        assert K.log_matrix.shape == (1, n)
+        assert peak < 50 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestConditionedBoltzmann:
     def test_reference_masses(self, g9):
         m = conditioned_boltzmann(g9, 1.0, 4, 1, 9)
         p3 = 1.0 / (3.0 + 4.0 * math.exp(-1.0))
         p4 = math.exp(-1.0) * p3
-        for p, mass in m.masses.items():
+        for p, mass in zip(m.paths.tolist(), m.masses.tolist()):
             want = p3 if path_length(g9, p) == 3.0 else p4
             assert mass == pytest.approx(want, abs=1e-12)
 
@@ -123,7 +147,7 @@ class TestBoltzmannFamily:
         T = 1.7
         m = conditioned_boltzmann(g9, T, 3)
         Z = partition_function(g9, T, 3)
-        for p, mass in m.masses.items():
+        for p, mass in zip(m.paths.tolist(), m.masses.tolist()):
             assert mass == pytest.approx(
                 math.exp(-path_length(g9, p) / T) / Z, rel=1e-11)
 
@@ -155,11 +179,8 @@ class TestOracleBridge:
         prior = boltzmann_prior(g9, 1.0, 3)
         nu0, nuN = delta_marginal(9, 1), delta_marginal(9, 9)
         m = oracle_bridge(prior, nu0, nuN)
-        start = np.zeros(9)
-        end = np.zeros(9)
-        for p, mass in m.masses.items():
-            start[p[0] - 1] += mass
-            end[p[-1] - 1] += mass
+        start = np.bincount(m.paths[:, 0] - 1, m.masses, minlength=9)
+        end = np.bincount(m.paths[:, -1] - 1, m.masses, minlength=9)
         assert np.abs(start - nu0).max() <= 1e-12
         assert np.abs(end - nuN).max() <= 1e-12
 
@@ -177,11 +198,8 @@ class TestOracleBridge:
         nu0 = as_marginal([0.3, 0.3, 0.4, 0, 0, 0, 0, 0, 0], 9)
         nuN = delta_marginal(9, 9)
         m = oracle_bridge(boltzmann_prior(g9, 1e-6, 4), nu0, nuN)
-        start = np.zeros(9)
-        end = np.zeros(9)
-        for p, mass in m.masses.items():
-            start[p[0] - 1] += mass
-            end[p[-1] - 1] += mass
+        start = np.bincount(m.paths[:, 0] - 1, m.masses, minlength=9)
+        end = np.bincount(m.paths[:, -1] - 1, m.masses, minlength=9)
         assert np.abs(start - nu0).max() <= 1e-8
         assert np.abs(end - nuN).max() <= 1e-8
 
@@ -194,8 +212,8 @@ class TestOracleBridge:
         prior = boltzmann_prior(g9, 1.0, 0)
         nu = as_marginal([0.4, 0.6, 0, 0, 0, 0, 0, 0, 0], 9)
         m = oracle_bridge(prior, nu, nu)
-        assert m.masses[(1,)] == pytest.approx(0.4, abs=1e-12)
-        assert m.masses[(2,)] == pytest.approx(0.6, abs=1e-12)
+        assert m.paths.tolist() == [[1], [2]]
+        assert m.masses == pytest.approx([0.4, 0.6], abs=1e-12)
 
 
 class TestMeasureExtraction:
@@ -204,13 +222,13 @@ class TestMeasureExtraction:
                                 delta_marginal(9, 1), delta_marginal(9, 9))
         m = measure_from_chain(sol)
         assert m.total() == pytest.approx(1.0, abs=1e-12)
-        assert all(mass > 0 for mass in m.masses.values())
+        assert (m.masses > 0).all()
 
     def test_chain_measure_matches_path_mass(self, g9):
         from netbridge import chain_path_mass
         prior = boltzmann_prior(g9, 1.0, 2)
         m = measure_from_chain(prior)
-        for p, mass in list(m.masses.items())[:20]:
+        for p, mass in zip(m.paths[:20].tolist(), m.masses[:20].tolist()):
             assert mass == pytest.approx(chain_path_mass(prior, p), rel=1e-12)
 
     def test_cap_enforced(self, g9):
@@ -237,6 +255,52 @@ class TestEqualLengthReport:
                 rep = verify_equal_length_masses(g, T, N)
                 assert rep.pairs_checked == pairs
                 assert rep.max_spread <= 1e-12
+
+
+    def test_cold_funnel_where_the_stationary_chain_fails(self, g9):
+        # at T = 0.002 the right Perron vector underflows at node 1, so the
+        # Ruelle-Bowen chain does not exist; its bridge still does
+        with pytest.raises(InfeasibleError, match="vanishes at node 1"):
+            ruelle_bowen_chain(g9, 0.002, 4)
+        rep = verify_equal_length_masses(g9, 0.002, 4)
+        assert rep.pairs_checked == 10
+        assert rep.max_spread <= 1e-12
+
+    def test_reach_is_taken_in_chunks_of_targets(self, g9):
+        # one target per chunk counts the same pairs and spread
+        want = verify_equal_length_masses(g9, 0.7, 4)
+        with mock.patch.object(oracle, "REACH_CHUNK", 1):
+            assert verify_equal_length_masses(g9, 0.7, 4) == want
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_boltzmann_and_ruelle_bowen_bridges_coincide(self, seed, diffuse):
+        # the chain's h-transform reweights each path by endpoint factors,
+        # which the bridge absorbs, so both priors give one bridge
+        rng = np.random.default_rng(seed)
+        n, N = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        T = 10.0 ** rng.uniform(-1.0, 1.5)
+        g = random_graph(rng, n, p_edge=rng.uniform(0.2, 0.6))
+        with mock.patch("netbridge.prior.PERRON_MAX_ITER", 5_000):
+            try:
+                chain = ruelle_bowen_chain(g, T, N)
+            except NetbridgeError:
+                assume(False)
+        reach = step_reach(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
+                           np.eye(n, dtype=bool))[0]
+        targets = rng.permutation(np.flatnonzero(reach.any(axis=0)))[:3 if diffuse else 1]
+        sources = np.flatnonzero(reach[:, targets].all(axis=1))
+        assume(sources.size)
+        if not diffuse:
+            sources = sources[:1]
+        nu0, nuN = np.zeros(n), np.zeros(n)
+        nu0[sources] = rng.uniform(0.1, 1.0, sources.size)
+        nuN[targets] = rng.uniform(0.1, 1.0, targets.size)
+        cfg = SolverConfig(tol=1e-13)  # solves to well within the 1e-12 compared
+        over_prior = solve_schrodinger(boltzmann_prior(g, T, N), nu0 / nu0.sum(),
+                                       nuN / nuN.sum(), cfg)
+        over_chain = solve_schrodinger(chain, nu0 / nu0.sum(), nuN / nuN.sum(), cfg)
+        assert np.abs(over_prior.transitions - over_chain.transitions).max() <= 1e-12
 
 
 def skewed(solve, noise):
