@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -630,4 +631,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # frozen objects (numpy's import-time ones among them) are left out of the
+    # collections at shutdown, so exit neither traverses nor frees them
+    gc.freeze()
     sys.exit(main())

@@ -273,11 +273,10 @@ def test_bridge_prior_ratio_is_constant_over_paths(g9, g9_long79):
 
 
 def test_equal_length_paths_share_mass_under_length_prior(g9):
-    rep = verify_equal_length_masses(g9, 1.0, 4)
+    pairs, spread = verify_equal_length_masses(g9, 1.0, 4)
     report("stationary-chain bridge gives each path mass proportional to exp(-l/T)",
-           rep.max_spread <= 1e-9,
-           f"{rep.pairs_checked} endpoint pairs, spread of log mass + l/T "
-           f"{rep.max_spread:.2e} (tol 1e-9)")
+           spread <= 1e-9,
+           f"{pairs} endpoint pairs, spread of log mass + l/T {spread:.2e} (tol 1e-9)")
 
 
 def test_length_slope_matches_variance_identity(g9):

@@ -254,11 +254,22 @@ class TestSolve:
 
 class TestIteratedBridge:
     def test_delta_pairs(self, g9):
+        # the second pair's supports nest inside the first's
         prior = boltzmann_prior(g9, 1.0, 4)
-        dev = iterated_bridge_check(prior,
-                                    (delta(9, 1), delta(9, 9)),
-                                    (delta(9, 2), delta(9, 9)))
-        assert dev <= 1e-9
+        for source in (1, 2):
+            dev = iterated_bridge_check(prior,
+                                        ((delta(9, 1) + delta(9, 2)) / 2, delta(9, 9)),
+                                        (delta(9, source), delta(9, 9)))
+            assert dev <= 1e-9
+
+    def test_unnested_pairs_raise(self, g9):
+        prior = boltzmann_prior(g9, 1.0, 4)
+        with pytest.raises(ValueError, match="inside the first's"):
+            iterated_bridge_check(prior, (delta(9, 1), delta(9, 9)),
+                                  (delta(9, 2), delta(9, 9)))
+        with pytest.raises(ValueError, match="inside the first's"):
+            iterated_bridge_check(prior, (delta(9, 1), delta(9, 9)),
+                                  (delta(9, 1), (delta(9, 8) + delta(9, 9)) / 2))
 
     def test_random_pairs(self, g9):
         rng = np.random.default_rng(29)

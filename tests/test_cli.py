@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -738,3 +741,25 @@ class TestVerify:
         assert {c["name"] for c in doc["checks"]} >= {
             "solver-vs-oracle", "iterated-bridge", "argmax-path-invariance",
             "restriction-ratio", "equal-length-masses"}
+
+
+class TestModuleEntryPoint:
+    """`python -m netbridge.cli` freezes the heap before it runs main, so
+    interpreter shutdown skips numpy's import-time objects."""
+
+    def run(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_import_freezes_nothing(self):
+        assert self.run("-c", "import netbridge.cli, gc; print(gc.get_freeze_count())") == "0\n"
+
+    def test_module_run_writes_the_in_process_bytes(self, tmp_path):
+        argv = ["solve", "--graph", "g9", "--from-delta", "1", "--to-delta", "9", "-N", "4",
+                "-T", "0.7", "--output"]
+        assert main(argv + [str(tmp_path / "main.json")]) == 0
+        self.run("-m", "netbridge.cli", *argv, str(tmp_path / "module.json"))
+        assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()

@@ -56,6 +56,31 @@ def at(n, *nodes):
     return np.isin(np.arange(1, n + 1), nodes)
 
 
+def feasible_marginals(rng, g, N, diffuse):
+    """Random (nu0, nuN) on g whose supported pairs are all joined by N-step
+    routes: up to 3 targets and every node reaching all of them if
+    `diffuse`, else one node each; rejects the draw when no node qualifies."""
+    reach = step_reach(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
+                       np.eye(g.n, dtype=bool))[0]
+    targets = rng.permutation(np.flatnonzero(reach.any(axis=0)))[:3 if diffuse else 1]
+    sources = np.flatnonzero(reach[:, targets].all(axis=1))
+    assume(sources.size)
+    if not diffuse:
+        sources = sources[:1]
+    nu0, nuN = np.zeros(g.n), np.zeros(g.n)
+    nu0[sources] = rng.uniform(0.1, 1.0, sources.size)
+    nuN[targets] = rng.uniform(0.1, 1.0, targets.size)
+    return nu0 / nu0.sum(), nuN / nuN.sum()
+
+
+def g200_diffuse():
+    """random_graph(default_rng(1), 200, 0.04) with nu0 on nodes 1-10 and
+    nuN on nodes 101-110, 0.1 each."""
+    nodes = np.arange(1, 201)
+    return (random_graph(np.random.default_rng(1), 200, 0.04),
+            np.where(nodes <= 10, 0.1, 0.0), np.where((nodes > 100) & (nodes <= 110), 0.1, 0.0))
+
+
 class TestEndpointKernel:
     def test_g9_closed_form_entry(self, g9):
         # four-step 1 -> 9 routes: three of length 3 (self-loop padded),
@@ -240,21 +265,21 @@ class TestMeasureExtraction:
 
 class TestEqualLengthReport:
     def test_unit_cost_funnel(self, g9):
-        rep = verify_equal_length_masses(g9, 1.0, 4)
-        assert rep.pairs_checked == 10
-        assert rep.max_spread <= 1e-12
+        pairs, spread = verify_equal_length_masses(g9, 1.0, 4)
+        assert pairs == 10
+        assert spread <= 1e-12
 
     def test_modified_graph(self, g9_long79):
-        rep = verify_equal_length_masses(g9_long79, 1.0, 3)
-        assert rep.pairs_checked == 14
-        assert rep.max_spread <= 1e-12
+        pairs, spread = verify_equal_length_masses(g9_long79, 1.0, 3)
+        assert pairs == 14
+        assert spread <= 1e-12
 
     def test_spread_across_temperatures(self, g9, g9_long79):
         for T in (0.2, 1.0, 2.0, 25.0):
             for g, N, pairs in ((g9, 4, 10), (g9_long79, 3, 14)):
-                rep = verify_equal_length_masses(g, T, N)
-                assert rep.pairs_checked == pairs
-                assert rep.max_spread <= 1e-12
+                checked, spread = verify_equal_length_masses(g, T, N)
+                assert checked == pairs
+                assert spread <= 1e-12
 
 
     def test_cold_funnel_where_the_stationary_chain_fails(self, g9):
@@ -262,9 +287,9 @@ class TestEqualLengthReport:
         # Ruelle-Bowen chain does not exist; its bridge still does
         with pytest.raises(InfeasibleError, match="vanishes at node 1"):
             ruelle_bowen_chain(g9, 0.002, 4)
-        rep = verify_equal_length_masses(g9, 0.002, 4)
-        assert rep.pairs_checked == 10
-        assert rep.max_spread <= 1e-12
+        pairs, spread = verify_equal_length_masses(g9, 0.002, 4)
+        assert pairs == 10
+        assert spread <= 1e-12
 
     def test_reach_is_taken_in_chunks_of_targets(self, g9):
         # one target per chunk counts the same pairs and spread
@@ -286,20 +311,10 @@ class TestEqualLengthReport:
                 chain = ruelle_bowen_chain(g, T, N)
             except NetbridgeError:
                 assume(False)
-        reach = step_reach(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
-                           np.eye(n, dtype=bool))[0]
-        targets = rng.permutation(np.flatnonzero(reach.any(axis=0)))[:3 if diffuse else 1]
-        sources = np.flatnonzero(reach[:, targets].all(axis=1))
-        assume(sources.size)
-        if not diffuse:
-            sources = sources[:1]
-        nu0, nuN = np.zeros(n), np.zeros(n)
-        nu0[sources] = rng.uniform(0.1, 1.0, sources.size)
-        nuN[targets] = rng.uniform(0.1, 1.0, targets.size)
+        nu0, nuN = feasible_marginals(rng, g, N, diffuse)
         cfg = SolverConfig(tol=1e-13)  # solves to well within the 1e-12 compared
-        over_prior = solve_schrodinger(boltzmann_prior(g, T, N), nu0 / nu0.sum(),
-                                       nuN / nuN.sum(), cfg)
-        over_chain = solve_schrodinger(chain, nu0 / nu0.sum(), nuN / nuN.sum(), cfg)
+        over_prior = solve_schrodinger(boltzmann_prior(g, T, N), nu0, nuN, cfg)
+        over_chain = solve_schrodinger(chain, nu0, nuN, cfg)
         assert np.abs(over_prior.transitions - over_chain.transitions).max() <= 1e-12
 
 
@@ -350,10 +365,10 @@ class TestInvarianceChecks:
             worst_el = max(worst_el, enumerated_spread(log_path_masses(sol, paths)
                                                        + lengths / T))
         with mock.patch.object(oracle, "solve_schrodinger", solve):
-            rep = verify_equal_length_masses(g, T, N)
-        assert rep.pairs_checked == len(pairs)
+            pairs_checked, spread = verify_equal_length_masses(g, T, N)
+        assert pairs_checked == len(pairs)
         assert worst_rr <= 1e-12
-        assert abs(rep.max_spread - worst_el) <= 1e-12
+        assert abs(spread - worst_el) <= 1e-12
 
     def test_one_corrupted_edge_fails_restriction_ratio(self, g9):
         prior = boltzmann_prior(g9, 1.0, 4)
@@ -363,13 +378,25 @@ class TestInvarianceChecks:
         corrupted = replace(sol, log_weights=bad, transitions=np.exp(bad))
         assert restriction_ratio_check(prior, corrupted, 1, 9) == pytest.approx(0.5, rel=1e-12)
 
+    def test_diffuse_bridge_past_the_path_cap(self):
+        # 1.1T bridges scored against the prior at T must fail; no path is walked
+        g, nu0, nuN = g200_diffuse()
+        prior = boltzmann_prior(g, 1.0, 10)
+        with pytest.raises(EnumerationCapError):
+            oracle_bridge(prior, nu0, nuN)
+        for T, low, high in ((1.0, 0.0, 1e-12), (1.1, 0.5, 1.0)):
+            sol = solve_schrodinger(boltzmann_prior(g, T, 10), nu0, nuN)
+            spread = max(restriction_ratio_check(prior, sol, i, j)
+                         for i in range(1, 11) for j in range(101, 111))
+            assert low <= spread <= high, (T, spread)
+
     def test_corrupted_stationary_bridge_fails_equal_length(self, g9):
         noise = np.zeros((4, len(g9.edges)))
         noise[0, g9.edge_index.find(0, 1)] = math.log(0.5)  # 1 -> 2 at step 0 only
         with mock.patch.object(oracle, "solve_schrodinger",
                                skewed(solve_schrodinger, noise)):
-            rep = verify_equal_length_masses(g9, 1.0, 4)
-        assert rep.max_spread == pytest.approx(0.5, rel=1e-12)
+            _, spread = verify_equal_length_masses(g9, 1.0, 4)
+        assert spread == pytest.approx(0.5, rel=1e-12)
 
 
 CHECK_NAMES = ["solver-marginals", "path-normalization", "solver-vs-oracle",
@@ -427,10 +454,37 @@ class TestVerifyBattery:
         assert values["solver-vs-oracle"] == pytest.approx(0.25, rel=1e-12)
         assert values["path-normalization"] <= 1e-15
 
-    def test_diffuse_source_checks_its_heaviest_node(self, g9):
-        # nu0 is no delta, so the restriction ratio needs a 1 -> 9 bridge of its own
+    def test_diffuse_source_checks_the_handed_bridge(self, g9):
+        # the restriction ratio reads the handed bridge over both source nodes
         nu0 = as_marginal([0.6, 0.4, 0, 0, 0, 0, 0, 0, 0], 9)
         checks, _ = run_battery(g9, nu0, delta_marginal(9, 9), 4)
+        assert [name for name, _, _ in checks] == CHECK_NAMES
+        assert all(value <= tol for _, value, tol in checks), checks
+
+    def test_inaccurate_diffuse_solve_fails_iterated_bridge(self):
+        # the battery solves its nested diffuse pairs at the handed tolerance;
+        # pairs ending at one delta target would read about 1e-16 at any
+        g, nu0, nuN = g200_diffuse()
+        for tol, passes in ((1e-12, True), (1e-3, False)):
+            cfg = SolverConfig(tol=tol)
+            sol = solve_schrodinger(boltzmann_prior(g, 1.0, 6), nu0, nuN, cfg)
+            checks, meta = verify_battery(g, sol, nu0, nuN, 1.0, cfg, grid=[1.0], pairs=2)
+            value, bound = {name: (v, t) for name, v, t in checks}["iterated-bridge"]
+            assert (value <= bound) == passes, value
+            assert meta["pairs_checked"] == 40000
+
+    @settings(max_examples=30)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_every_check_passes_across_temperatures(self, seed, diffuse):
+        # n, N and T come from one seed, so few draws land on trivial graphs
+        rng = np.random.default_rng(seed)
+        n, N = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        T = 10.0 ** rng.uniform(-3.0, 3.0)
+        g = random_graph(rng, n, p_edge=rng.uniform(0.2, 0.6))
+        nu0, nuN = feasible_marginals(rng, g, N, diffuse)
+        cfg = SolverConfig()
+        sol = solve_schrodinger(boltzmann_prior(g, T, N), nu0, nuN, cfg)
+        checks, _ = verify_battery(g, sol, nu0, nuN, T, cfg, grid=[T / 2, T, 2 * T], pairs=2)
         assert [name for name, _, _ in checks] == CHECK_NAMES
         assert all(value <= tol for _, value, tol in checks), checks
 
