@@ -19,11 +19,9 @@ from .calibrate import (
     CalibrationResult,
     SweepRow,
     TemperatureLimit,
-    TransportApproximation,
     calibrate_temperature,
     expected_length_at,
     length_variance,
-    omt_approximation,
     temperature_sweep,
 )
 from .errors import (
@@ -44,23 +42,17 @@ from .graph import (
     load_graph,
     path_counts,
     path_length,
-    shortest_path_matrix,
 )
 from .metrics import (
-    EfficiencyReport,
     GraphEfficiencyStats,
     PathMeasure,
     average_path_length,
     entropy,
-    free_energy,
     graph_efficiency_stats,
     measure_from_chain,
-    relative_entropy,
-    total_variation,
 )
 from .oracle import (
     EndpointKernel,
-    conditioned_boltzmann,
     endpoint_kernel,
     iterated_bridge_check,
     oracle_bridge,
@@ -74,7 +66,6 @@ from .prior import (
     boltzmann_prior,
     chain_path_mass,
     log_path_masses,
-    partition_function,
     perron,
     ruelle_bowen_chain,
 )
@@ -87,7 +78,6 @@ __all__ = [
     "ConvergenceError",
     "DirectedGraph",
     "EdgeIndex",
-    "EfficiencyReport",
     "EndpointKernel",
     "EnumerationCapError",
     "GraphEfficiencyStats",
@@ -101,13 +91,11 @@ __all__ = [
     "SolverConfig",
     "SweepRow",
     "TemperatureLimit",
-    "TransportApproximation",
     "as_marginal",
     "average_path_length",
     "boltzmann_prior",
     "calibrate_temperature",
     "chain_path_mass",
-    "conditioned_boltzmann",
     "count_feasible_paths",
     "delta_marginal",
     "dump_graph",
@@ -115,7 +103,6 @@ __all__ = [
     "entropy",
     "enumerate_feasible_paths",
     "expected_length_at",
-    "free_energy",
     "g9_network",
     "graph_efficiency_stats",
     "iterated_bridge_check",
@@ -124,20 +111,15 @@ __all__ = [
     "log_path_masses",
     "measure_from_chain",
     "most_probable_paths",
-    "omt_approximation",
     "oracle_bridge",
-    "partition_function",
     "path_counts",
     "path_length",
     "path_probability",
     "perron",
-    "relative_entropy",
     "restriction_ratio_check",
     "ruelle_bowen_chain",
-    "shortest_path_matrix",
     "solve_schrodinger",
     "temperature_sweep",
-    "total_variation",
     "verify_battery",
     "verify_equal_length_masses",
 ]

@@ -197,7 +197,8 @@ def solve_schrodinger(prior: PriorChain, nu0, nuN,
 
 
 def path_probability(sol: BridgeSolution, p: Sequence[int]) -> float:
-    """Mass of one path under the bridge: nu0(x0) times the transition entries."""
+    """Mass of one path under the bridge: nu0(x0) times the transition entries
+    (no command calls it; perfbench/trace_child.py traces it by this name)."""
     return chain_path_mass(sol, p)
 
 

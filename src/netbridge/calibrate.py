@@ -1,4 +1,4 @@
-"""Temperature selection: hit a target average length, sweep, or go cold.
+"""Temperature selection: hit a target average length, or sweep a grid.
 
 The expected path length of the delta-pinned bridge is strictly increasing
 in temperature (its T-derivative is Var/T^2), ranging from the minimal
@@ -18,8 +18,8 @@ import numpy as np
 from .bridge import BridgeSolution, SolverConfig, as_marginal, solve_schrodinger
 from .errors import ConvergenceError, InfeasibleBudgetError, InfeasibleError, \
     NetbridgeError
-from .graph import DirectedGraph, Path, path_lengths, path_sum_range
-from .metrics import PathMeasure, average_path_length, entropy, measure_from_chain
+from .graph import DirectedGraph, Path, path_sum_range
+from .metrics import average_path_length, entropy
 from .prior import PriorChain, boltzmann_prior, check_temperature, log_path_masses
 
 BRACKET_START = (1e-2, 1e2)
@@ -286,43 +286,3 @@ def temperature_sweep(g: DirectedGraph, nu0, nuN, N: int, temperatures,
                             error=f"{type(exc).__name__}: {exc}")
 
     return [run(T) for T in temps]
-
-
-@dataclass(frozen=True)
-class TransportApproximation:
-    """Near-zero-temperature bridge concentrating on minimal-length routes."""
-
-    temperature: float
-    measure: PathMeasure
-    minimal_length: float
-    minimal_paths: np.ndarray  # rows of measure.paths, in its order
-    minimal_mass: float
-
-
-def omt_approximation(g: DirectedGraph, nu0, nuN, N: int,
-                      T_small: float | None = None,
-                      config: SolverConfig | None = None) -> TransportApproximation:
-    """Approximate the optimal-transport limit by solving at a small temperature.
-
-    The default temperature is 0.05 times the smallest positive edge length.
-    Reports the minimal-length path set and how much bridge mass it carries;
-    as T decreases that fraction approaches 1.
-    """
-    nu0 = as_marginal(nu0, g.n)
-    nuN = as_marginal(nuN, g.n)
-    if T_small is None:
-        positive = [w for _, _, w in g.edges if w > 0]
-        if not positive:
-            raise InfeasibleError("all edges have zero length; the transport "
-                                  "limit is degenerate")
-        T_small = 0.05 * min(positive)
-    T_small = check_temperature(T_small)
-    sol = solve_schrodinger(boltzmann_prior(g, T_small, N), nu0, nuN, config)
-    measure = measure_from_chain(sol)
-    lengths = path_lengths(g, measure.paths)
-    minimal = lengths <= lengths.min() + 1e-9
-    return TransportApproximation(
-        temperature=T_small, measure=measure, minimal_length=float(lengths.min()),
-        minimal_paths=measure.paths[minimal],
-        minimal_mass=float(measure.masses[minimal].sum() / measure.total()),
-    )

@@ -48,7 +48,7 @@ from .calibrate import TemperatureLimit, calibrate_temperature, temperature_swee
 from .errors import ConvergenceError, EnumerationCapError, GraphFormatError, \
     InfeasibleBudgetError, InfeasibleError
 from .graph import DirectedGraph, enumerate_feasible_paths, g9_network, load_graph, \
-    path_counts, path_length
+    path_counts, path_lengths
 from .metrics import PathMeasure, average_path_length, entropy, \
     graph_efficiency_stats, measure_from_chain
 from .oracle import oracle_bridge, verify_battery
@@ -505,6 +505,8 @@ def cmd_paths(args) -> int:
     g = _load_graph_arg(args.graph)
     paths = enumerate_feasible_paths(g, args.horizon, source=args.source,
                                      target=args.target, cap=args.cap)
+    lengths = _round_array(path_lengths(
+        g, np.array(paths, dtype=np.intp).reshape(len(paths), args.horizon + 1))).tolist()
     if args.format == "json":
         doc = {
             "n": g.n,
@@ -512,12 +514,11 @@ def cmd_paths(args) -> int:
             "source": args.source,
             "target": args.target,
             "count": len(paths),
-            "paths": [{"nodes": list(p), "length": sig12(path_length(g, p))}
-                      for p in paths],
+            "paths": [{"nodes": list(p), "length": x} for p, x in zip(paths, lengths)],
         }
         _emit_json(doc, args.output)
     else:
-        rows = [[_path_key(p), sig12(path_length(g, p))] for p in paths]
+        rows = [[_path_key(p), x] for p, x in zip(paths, lengths)]
         _emit(_csv_text(["path", "length"], rows), args.output)
     return 0
 

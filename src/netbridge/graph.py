@@ -5,9 +5,9 @@ Nodes are numbered 1..n in documents and in paths; index arrays are
 probabilities, supports) are (N, E) arrays over an EdgeIndex, one column
 per edge, and a path family is a (P, N+1) intp array, one path per row.
 Edge lookups go through EdgeIndex.find and out_edges, and distances come
-one Dijkstra row at a time; only shortest_path_matrix, by its contract,
-builds an n x n array.  An absent edge has infinite length, which is
-computed on demand and never stored.
+one Dijkstra row at a time, so nothing here builds an n x n array.  An
+absent edge has infinite length, which is computed on demand and never
+stored.
 """
 
 from __future__ import annotations
@@ -379,7 +379,8 @@ def path_counts(g: DirectedGraph, N: int, target: int | None = None) -> np.ndarr
 
 def count_feasible_paths(g: DirectedGraph, N: int, source: int | None = None,
                          target: int | None = None) -> int:
-    """Number of N-step feasible paths, computed by counting DP (no enumeration)."""
+    """Number of N-step feasible paths, computed by counting DP (no enumeration;
+    no command calls it, and perfbench/trace_child.py traces it by this name)."""
     counts = path_counts(g, N, target)
     return int(counts[source - 1] if source is not None else counts.sum())
 
@@ -405,11 +406,6 @@ def distance_rows(g: DirectedGraph):
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
         yield np.array(dist)
-
-
-def shortest_path_matrix(g: DirectedGraph) -> np.ndarray:
-    """All-pairs directed distances d[i-1, j-1]: distance_rows stacked."""
-    return np.array(list(distance_rows(g)))
 
 
 def g9_network(l79: float = 1.0) -> DirectedGraph:

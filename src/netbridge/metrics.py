@@ -1,4 +1,4 @@
-"""Functionals on path measures: length, entropy, free energy, graph efficiency.
+"""Functionals on path measures: length, entropy, graph efficiency.
 
 Length/entropy accept either an explicit path measure or a solved bridge;
 for a bridge they use the Markov chain-rule forms, which tests cross-check
@@ -15,7 +15,7 @@ import numpy as np
 
 from .bridge import BridgeSolution
 from .graph import PATH_CAP, DirectedGraph, distance_rows, path_lengths, step_paths
-from .prior import PriorChain, check_temperature, log_path_masses
+from .prior import PriorChain, log_path_masses
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,33 +66,12 @@ def measure_from_chain(chain: PriorChain, cap: int = PATH_CAP) -> PathMeasure:
     return PathMeasure(chain.N, paths[keep], masses[keep])
 
 
-def _masses_on(Q: PathMeasure, paths: np.ndarray) -> np.ndarray:
-    """Q's mass on each row of `paths`, 0 where Q has no such path."""
-    _, inv = np.unique(np.concatenate((Q.paths, paths)), axis=0, return_inverse=True)
-    inv, k = inv.reshape(-1), len(Q.paths)
-    return np.bincount(inv[:k], Q.masses, minlength=inv.size)[inv[k:]]  # Q's rows are distinct
-
-
 def _check_probability(P: PathMeasure) -> None:
+    """Raise ValueError unless P's total mass is 1 within 1e-9 (entropy's
+    precondition on an explicit measure)."""
     z = P.total()
     if abs(z - 1.0) > 1e-9:
         raise ValueError(f"expected a probability measure, total mass is {z!r}")
-
-
-@dataclass(frozen=True)
-class EfficiencyReport:
-    """Average length, path entropy and free energy of one policy at one T."""
-
-    average_length: float
-    entropy: float
-    free_energy: float
-    temperature: float
-
-    def __post_init__(self):
-        lhs = self.free_energy
-        rhs = self.average_length - self.temperature * self.entropy
-        if np.isfinite(lhs) and np.isfinite(rhs) and abs(lhs - rhs) > 1e-10:
-            raise ValueError(f"free energy identity violated: {lhs} vs {rhs}")
 
 
 def average_path_length(measure, g: DirectedGraph) -> float:
@@ -142,48 +121,6 @@ def entropy(measure) -> float:
 def _vector_entropy(w: np.ndarray) -> float:
     w = w[w > 0.0]
     return float(-(w * np.log(w)).sum()) if w.size else 0.0
-
-
-def relative_entropy(P: PathMeasure, Q) -> float:
-    """D(P || Q) = sum P ln(P/Q); +inf if P has mass outside Q's support.
-
-    Q may be a PathMeasure or a PriorChain and need not be normalized, in
-    which case the value can be negative.  The sum runs over log masses,
-    so a prior whose path masses underflow still gives a finite value.
-    """
-    _check_probability(P)
-    if not isinstance(Q, (PriorChain, PathMeasure)):
-        raise TypeError(f"unsupported reference measure type: {type(Q).__name__}")
-    if Q.N != P.N:
-        raise ValueError(f"horizon mismatch: P has N={P.N}, Q has N={Q.N}")
-    keep = P.masses > 0.0
-    paths, m = P.paths[keep], P.masses[keep]
-    if isinstance(Q, PriorChain):
-        log_q = log_path_masses(Q, paths)
-    else:
-        with np.errstate(divide="ignore"):
-            log_q = np.log(_masses_on(Q, paths))
-    if np.any(log_q == -np.inf):
-        return float("inf")
-    return float((m * (np.log(m) - log_q)).sum())
-
-
-def free_energy(measure, T: float, g: DirectedGraph) -> EfficiencyReport:
-    """Report L, S and F = L - T*S for a policy at temperature T."""
-    T = check_temperature(T)
-    L = average_path_length(measure, g)
-    S = entropy(measure)
-    return EfficiencyReport(
-        average_length=L, entropy=S, free_energy=L - T * S, temperature=T,
-    )
-
-
-def total_variation(P: PathMeasure, Q: PathMeasure) -> float:
-    """Total variation 0.5 * sum |P - Q|: over P's paths, plus Q's mass off them."""
-    if P.N != Q.N:
-        raise ValueError(f"horizon mismatch: {P.N} vs {Q.N}")
-    q = _masses_on(Q, P.paths)
-    return 0.5 * float(np.abs(P.masses - q).sum() + max(Q.total() - q.sum(), 0.0))
 
 
 @dataclass(frozen=True)

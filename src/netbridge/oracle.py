@@ -30,10 +30,10 @@ from ._numeric import logsumexp
 from .bridge import BridgeSolution, SolverConfig, as_marginal, delta_marginal, \
     most_probable_paths, push_flow, solve_schrodinger
 from .errors import ConvergenceError, InfeasibleError, NetbridgeError
-from .graph import DirectedGraph, path_lengths, path_sum_range, require_routes, step_paths, \
+from .graph import DirectedGraph, EdgeIndex, path_sum_range, require_routes, step_paths, \
     step_reach
 from .metrics import PathMeasure
-from .prior import PriorChain, boltzmann_prior, check_temperature, log_path_masses
+from .prior import PriorChain, boltzmann_prior, log_path_masses
 
 ORACLE_TOL = 1e-13
 ORACLE_MAX_SWEEPS = 1_000_000
@@ -136,27 +136,6 @@ def oracle_bridge(prior: PriorChain, nu0, nuN) -> PathMeasure:
     masses = np.exp(a[at0[paths[:, 0] - 1]] + b[atN[paths[:, -1] - 1]] + kernel.log_weights)
     keep = masses > 0.0
     return PathMeasure(prior.N, paths[keep], masses[keep])
-
-
-def conditioned_boltzmann(g: DirectedGraph, T: float, N: int,
-                          source: int | None = None,
-                          target: int | None = None) -> PathMeasure:
-    """Boltzmann measure exp(-l/T)/Z over the feasible N-step paths, optionally
-    restricted to those leaving `source` and/or entering `target`.
-
-    Pinned at both ends this is the closed-form answer for a delta-pinned
-    bridge over the Boltzmann prior; normalization happens in log space.
-    """
-    check_temperature(T)
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    paths = step_paths(g.edge_index, np.ones((N, len(g.edges)), dtype=bool), source, target)
-    if not paths.size:
-        raise InfeasibleError(f"no feasible {N}-step path"
-                              + (f" from node {source}" if source is not None else "")
-                              + (f" to node {target}" if target is not None else ""))
-    logw = -path_lengths(g, paths) / T
-    return PathMeasure(N, paths, np.exp(logw - logsumexp(logw)))
 
 
 def _ratio_spread(prior: PriorChain, chain: PriorChain, target: int) -> np.ndarray:
@@ -265,23 +244,27 @@ def verify_battery(g: DirectedGraph, sol: BridgeSolution, nu0, nuN, T: float,
                    VERIFY_TOL_ORACLE))
 
     # Each draw's first pair lives on 2-4 nodes a1 that reach the target and
-    # on the target plus the seeded candidates that every node of a1 reaches
-    # (every node of supp nu0 reaches the target: the oracle checked routes);
-    # the second pair on random nonempty subsets of both.
+    # on the target plus up to ITERATED_CANDIDATES seeded nodes that every
+    # node of a1 reaches, from an n x |a1| reach back from a1 on the reversed
+    # edges (every node of supp nu0 reaches the target: the oracle checked
+    # routes); the second pair on random nonempty subsets of both.
     source, target = int(np.argmax(nu0)) + 1, int(np.argmax(nuN)) + 1
     rng = np.random.default_rng(VERIFY_SEED)
-    ends = np.append(target - 1, rng.choice(g.n, min(g.n, ITERATED_CANDIDATES), replace=False))
-    reach = step_reach(prior.edges, prior.support, np.arange(g.n)[:, None] == ends)[0]
-    sources, dev = np.flatnonzero(reach[:, 0]), 0.0
+    nodes, back = np.arange(g.n), EdgeIndex(g.n, prior.edges.dst, prior.edges.src)
+    reach = step_reach(prior.edges, prior.support, nodes == target - 1)[0]
+    sources, dev = np.flatnonzero(reach), 0.0
 
-    def on(nodes):
+    def on(support):
         w = np.zeros(g.n)
-        w[nodes] = rng.random(nodes.size) + 1e-3
+        w[support] = rng.random(support.size) + 1e-3
         return w / w.sum()
 
     for _ in range(pairs):
         a1 = rng.choice(sources, min(sources.size, int(rng.integers(2, 5))), replace=False)
-        b1 = np.unique(ends[reach[a1].all(axis=0)])
+        joint = step_reach(back, prior.support[::-1], nodes[:, None] == a1)[0].all(axis=1)
+        joint[target - 1] = False
+        b1 = np.unique(np.append(target - 1, rng.choice(
+            np.flatnonzero(joint), min(int(joint.sum()), ITERATED_CANDIDATES), replace=False)))
         a2, b2 = (rng.choice(x, int(rng.integers(1, x.size + 1)), replace=False) for x in (a1, b1))
         dev = max(dev, iterated_bridge_check(prior, (on(a1), on(b1)), (on(a2), on(b2)), config))
     checks.append(("iterated-bridge", dev, VERIFY_TOL_INVARIANCE))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numeric import hilbert_distance, logsumexp
+from ._numeric import hilbert_distance
 from .errors import ConvergenceError, InfeasibleError
 from .graph import DirectedGraph, EdgeIndex
 
@@ -160,26 +160,6 @@ def log_path_masses(chain: PriorChain, paths: Sequence[Sequence[int]]) -> np.nda
 def chain_path_mass(chain: PriorChain, p: Sequence[int]) -> float:
     """Mass mu0(x0) * prod_t w_t(x_t, x_{t+1}) of one path; 0 if infeasible."""
     return float(np.exp(log_path_masses(chain, [p])[0]))
-
-
-def partition_function(g: DirectedGraph, T: float, N: int) -> float:
-    """Sum of exp(-l(x)/T) over all feasible N-step paths from every start node.
-
-    Computed by a backward log-space recursion over the edge list, so tests
-    can check it against direct path enumeration.
-    """
-    check_temperature(T)
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    lw = _log_boltzmann_weights(g, T)
-    edges = g.edge_index
-    x = np.zeros(g.n)
-    for _ in range(N):
-        x = edges.logsumexp(lw + x[edges.dst])
-    log_z = logsumexp(x)
-    if log_z == -np.inf:
-        raise InfeasibleError(f"no feasible {N}-step paths")
-    return float(np.exp(log_z))
 
 
 def perron(edges: EdgeIndex, weights) -> PerronTriple:

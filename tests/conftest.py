@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from netbridge import DirectedGraph, EdgeIndex, g9_network
+from netbridge import DirectedGraph, EdgeIndex, InfeasibleError, PathMeasure, PriorChain, \
+    g9_network, log_path_masses
+from netbridge._numeric import logsumexp
+from netbridge.graph import distance_rows, path_lengths, step_paths
+from netbridge.metrics import _check_probability
+from netbridge.prior import _log_boltzmann_weights, check_temperature
 
 # Property tests draw the same examples on every run, so the suite's verdict
 # does not depend on the run.
@@ -53,3 +58,91 @@ def dense_steps(edges, rows):
     for P, row in zip(out, rows):
         P[edges.src, edges.dst] = row
     return out
+
+
+# Closed-form references the tests compare the library against; no command
+# calls them.
+
+def conditioned_boltzmann(g: DirectedGraph, T: float, N: int,
+                          source: int | None = None,
+                          target: int | None = None) -> PathMeasure:
+    """Boltzmann measure exp(-l/T)/Z over the feasible N-step paths, optionally
+    restricted to those leaving `source` and/or entering `target`.
+
+    Pinned at both ends this is the closed-form answer for a delta-pinned
+    bridge over the Boltzmann prior; normalization happens in log space.
+    """
+    check_temperature(T)
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    paths = step_paths(g.edge_index, np.ones((N, len(g.edges)), dtype=bool), source, target)
+    if not paths.size:
+        raise InfeasibleError(f"no feasible {N}-step path"
+                              + (f" from node {source}" if source is not None else "")
+                              + (f" to node {target}" if target is not None else ""))
+    logw = -path_lengths(g, paths) / T
+    return PathMeasure(N, paths, np.exp(logw - logsumexp(logw)))
+
+
+def partition_function(g: DirectedGraph, T: float, N: int) -> float:
+    """Sum of exp(-l(x)/T) over all feasible N-step paths from every start node.
+
+    Computed by a backward log-space recursion over the edge list, so tests
+    can check it against direct path enumeration.
+    """
+    check_temperature(T)
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    lw = _log_boltzmann_weights(g, T)
+    edges = g.edge_index
+    x = np.zeros(g.n)
+    for _ in range(N):
+        x = edges.logsumexp(lw + x[edges.dst])
+    log_z = logsumexp(x)
+    if log_z == -np.inf:
+        raise InfeasibleError(f"no feasible {N}-step paths")
+    return float(np.exp(log_z))
+
+
+def _masses_on(Q: PathMeasure, paths: np.ndarray) -> np.ndarray:
+    """Q's mass on each row of `paths`, 0 where Q has no such path."""
+    _, inv = np.unique(np.concatenate((Q.paths, paths)), axis=0, return_inverse=True)
+    inv, k = inv.reshape(-1), len(Q.paths)
+    return np.bincount(inv[:k], Q.masses, minlength=inv.size)[inv[k:]]  # Q's rows are distinct
+
+
+def relative_entropy(P: PathMeasure, Q) -> float:
+    """D(P || Q) = sum P ln(P/Q); +inf if P has mass outside Q's support.
+
+    Q may be a PathMeasure or a PriorChain and need not be normalized, in
+    which case the value can be negative.  The sum runs over log masses,
+    so a prior whose path masses underflow still gives a finite value.
+    """
+    _check_probability(P)
+    if not isinstance(Q, (PriorChain, PathMeasure)):
+        raise TypeError(f"unsupported reference measure type: {type(Q).__name__}")
+    if Q.N != P.N:
+        raise ValueError(f"horizon mismatch: P has N={P.N}, Q has N={Q.N}")
+    keep = P.masses > 0.0
+    paths, m = P.paths[keep], P.masses[keep]
+    if isinstance(Q, PriorChain):
+        log_q = log_path_masses(Q, paths)
+    else:
+        with np.errstate(divide="ignore"):
+            log_q = np.log(_masses_on(Q, paths))
+    if np.any(log_q == -np.inf):
+        return float("inf")
+    return float((m * (np.log(m) - log_q)).sum())
+
+
+def total_variation(P: PathMeasure, Q: PathMeasure) -> float:
+    """Total variation 0.5 * sum |P - Q|: over P's paths, plus Q's mass off them."""
+    if P.N != Q.N:
+        raise ValueError(f"horizon mismatch: {P.N} vs {Q.N}")
+    q = _masses_on(Q, P.paths)
+    return 0.5 * float(np.abs(P.masses - q).sum() + max(Q.total() - q.sum(), 0.0))
+
+
+def shortest_path_matrix(g: DirectedGraph) -> np.ndarray:
+    """All-pairs directed distances d[i-1, j-1]: distance_rows stacked."""
+    return np.array(list(distance_rows(g)))

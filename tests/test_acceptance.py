@@ -16,31 +16,29 @@ from netbridge import (
     InfeasibleBudgetError,
     PathMeasure,
     TemperatureLimit,
+    average_path_length,
     boltzmann_prior,
     calibrate_temperature,
-    conditioned_boltzmann,
     count_feasible_paths,
     delta_marginal,
+    entropy,
     enumerate_feasible_paths,
     expected_length_at,
-    free_energy,
     iterated_bridge_check,
     length_variance,
     measure_from_chain,
     most_probable_paths,
     oracle_bridge,
-    partition_function,
     path_length,
     path_probability,
     perron,
-    relative_entropy,
     restriction_ratio_check,
     ruelle_bowen_chain,
     solve_schrodinger,
-    total_variation,
     verify_equal_length_masses,
 )
-from conftest import dense_steps, edge_weights
+from conftest import conditioned_boltzmann, dense_steps, edge_weights, partition_function, \
+    relative_entropy, total_variation
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -304,7 +302,7 @@ def test_free_energy_splits_into_divergence_and_log_partition(g9):
         w = rng.random(size) + 0.05
         w /= w.sum()
         P = PathMeasure(4, [family[i] for i in idx], w)
-        lhs = free_energy(P, T, g9).free_energy
+        lhs = average_path_length(P, g9) - T * entropy(P)
         rhs = (T * relative_entropy(P, conditioned_boltzmann(g9, T, 4))
                - T * math.log(partition_function(g9, T, 4)))
         worst = max(worst, abs(lhs - rhs))

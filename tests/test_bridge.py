@@ -20,7 +20,6 @@ from netbridge import (
     as_marginal,
     average_path_length,
     boltzmann_prior,
-    conditioned_boltzmann,
     count_feasible_paths,
     delta_marginal,
     dump_graph,
@@ -37,13 +36,12 @@ from netbridge import (
     restriction_ratio_check,
     ruelle_bowen_chain,
     solve_schrodinger,
-    total_variation,
 )
 from netbridge._numeric import hilbert_distance
 from netbridge.bridge import ARGMAX_REL_TOL
 from netbridge.graph import path_sum_range, step_paths
 from netbridge.cli import main
-from conftest import dense_steps, random_graph
+from conftest import conditioned_boltzmann, dense_steps, random_graph, total_variation
 
 
 def delta(n, k):

@@ -16,18 +16,19 @@ from netbridge import (
     as_marginal,
     boltzmann_prior,
     calibrate_temperature,
-    conditioned_boltzmann,
     delta_marginal,
     enumerate_feasible_paths,
     expected_length_at,
     length_variance,
-    omt_approximation,
+    measure_from_chain,
     path_length,
     path_probability,
     solve_schrodinger,
     temperature_sweep,
 )
-from conftest import random_graph
+from netbridge.graph import path_lengths
+
+from conftest import conditioned_boltzmann, random_graph
 
 
 def curve_g9(T):
@@ -206,29 +207,37 @@ class TestSweep:
             temperature_sweep(g9, delta(9, 1), delta(9, 9), 3, [1.0, -2.0])
 
 
+def cold_limit(g, N, T):
+    """The 1 -> 9 bridge at a small temperature T: (minimal length, the
+    minimal-length paths, their share of the bridge's mass)."""
+    sol = solve_schrodinger(boltzmann_prior(g, T, N), delta(9, 1), delta(9, 9))
+    measure = measure_from_chain(sol)
+    lengths = path_lengths(g, measure.paths)
+    minimal = lengths <= lengths.min() + 1e-9
+    return (float(lengths.min()), measure.paths[minimal],
+            float(measure.masses[minimal].sum() / measure.total()))
+
+
 class TestTransportLimit:
+    # T = 0.05 is 0.05 times the shortest positive edge on both graphs
     def test_mass_concentrates_on_minimal_paths(self, g9):
-        approx = omt_approximation(g9, delta(9, 1), delta(9, 9), 4)
-        assert approx.minimal_length == pytest.approx(3.0)
-        assert approx.minimal_paths.tolist() == [[1, 2, 7, 9, 9], [1, 3, 8, 9, 9],
-                                                 [1, 4, 8, 9, 9]]
-        assert approx.minimal_mass >= 0.999
+        length, paths, mass = cold_limit(g9, 4, 0.05)
+        assert length == pytest.approx(3.0)
+        assert paths.tolist() == [[1, 2, 7, 9, 9], [1, 3, 8, 9, 9], [1, 4, 8, 9, 9]]
+        assert mass >= 0.999
 
     def test_smaller_temperature_concentrates_harder(self, g9):
-        loose = omt_approximation(g9, delta(9, 1), delta(9, 9), 4, T_small=0.5)
-        tight = omt_approximation(g9, delta(9, 1), delta(9, 9), 4, T_small=0.1)
-        assert tight.minimal_mass > loose.minimal_mass
+        assert cold_limit(g9, 4, 0.1)[2] > cold_limit(g9, 4, 0.5)[2]
 
     def test_modified_graph_limit(self, g9_long79):
-        approx = omt_approximation(g9_long79, delta(9, 1), delta(9, 9), 3)
-        assert approx.minimal_paths.tolist() == [[1, 3, 8, 9], [1, 4, 8, 9]]
-        assert approx.minimal_mass >= 0.999
+        _, paths, mass = cold_limit(g9_long79, 3, 0.05)
+        assert paths.tolist() == [[1, 3, 8, 9], [1, 4, 8, 9]]
+        assert mass >= 0.999
 
     def test_cold_limit_puts_all_mass_on_minimal_paths(self, g9, g9_long79):
         for g, N in ((g9, 4), (g9_long79, 3), (g9_long79, 4)):
             for T in (1e-3, 1e-6):
-                approx = omt_approximation(g, delta(9, 1), delta(9, 9), N, T_small=T)
-                assert approx.minimal_mass >= 1.0 - 1e-9
+                assert cold_limit(g, N, T)[2] >= 1.0 - 1e-9
 
     def test_hot_limit_is_the_family_mean(self, g9, g9_long79):
         # the plain mean over the family is calibrate's upper bound

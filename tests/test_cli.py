@@ -1,6 +1,7 @@
 """Command-line surface: documents, exit codes, reproducibility."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -19,7 +20,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from netbridge import BridgeSolution, DirectedGraph, EdgeIndex, PathMeasure, \
     average_path_length, boltzmann_prior, count_feasible_paths, delta_marginal, \
-    dump_graph, entropy, g9_network, path_counts, solve_schrodinger
+    dump_graph, entropy, enumerate_feasible_paths, g9_network, path_counts, path_length, \
+    solve_schrodinger
 from netbridge._numeric import sig12
 import netbridge.cli as cli
 from netbridge.cli import _emit_json, _jsonify, _round_array, _rounded_solution, main
@@ -637,7 +639,7 @@ class TestCalibrate:
 
 
 class TestSmallCommands:
-    def test_paths_csv(self, capsys):
+    def test_paths_csv(self, capsys, tmp_path):
         for N, want in (
                 ("3", [["1-2-7-9", "3"], ["1-3-8-9", "3"], ["1-4-8-9", "3"]]),
                 ("4", [["1-2-3-8-9", "4"], ["1-2-5-6-9", "4"], ["1-2-5-7-9", "4"],
@@ -648,6 +650,24 @@ class TestSmallCommands:
             assert code == 0
             rows = list(csv.reader(io.StringIO(out)))
             assert rows[1:] == want
+        # mixed lengths: each row's length is its own step-order sum, rounded
+        # as every emitted value is
+        g = random_graph(np.random.default_rng(5), 8, 0.3)
+        graph = tmp_path / "mixed.json"
+        graph.write_text(dump_graph(g))
+        for N in (0, 3):
+            paths = enumerate_feasible_paths(g, N)
+            want = [sig12(path_length(g, p)) for p in paths]
+            assert N == 0 or len(set(want)) > 10
+            code, out, _ = run(capsys, "paths", "--graph", str(graph), "-N", str(N),
+                               "--format", "csv")
+            assert code == 0
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+            assert rows == [["-".join(map(str, p)), f"{x:.12g}"] for p, x in zip(paths, want)]
+            code, out, _ = run(capsys, "paths", "--graph", str(graph), "-N", str(N))
+            assert code == 0
+            assert json.loads(out)["paths"] == [{"nodes": list(p), "length": x}
+                                                for p, x in zip(paths, want)]
 
     def test_metrics_json(self, capsys):
         code, out, _ = run(capsys, "metrics", "--graph", "g9")
@@ -763,3 +783,17 @@ class TestModuleEntryPoint:
         assert main(argv + [str(tmp_path / "main.json")]) == 0
         self.run("-m", "netbridge.cli", *argv, str(tmp_path / "module.json"))
         assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+def test_every_traced_layer_resolves():
+    # perfbench/trace_child.py wraps each name of LAYERS on netbridge.<layer>;
+    # one pruned from the library makes every traced benchmark run fail
+    path = Path(__file__).parents[1] / "perfbench" / "trace_child.py"
+    spec = importlib.util.spec_from_file_location("trace_child", path)
+    trace_child = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "dont_write_bytecode", True):  # read it, write nothing
+        spec.loader.exec_module(trace_child)
+    for layer, names in trace_child.LAYERS.items():
+        module = importlib.import_module(f"netbridge.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"netbridge.{layer}.{name}"

@@ -20,10 +20,9 @@ from netbridge import (
     g9_network,
     load_graph,
     path_length,
-    shortest_path_matrix,
 )
 from netbridge.graph import EdgeIndex, path_sum_range, step_paths, step_reach
-from conftest import random_graph
+from conftest import random_graph, shortest_path_matrix
 
 
 def floyd_warshall(g):

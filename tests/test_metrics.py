@@ -11,22 +11,17 @@ from netbridge import (
     PathMeasure,
     average_path_length,
     boltzmann_prior,
-    conditioned_boltzmann,
     delta_marginal,
     entropy,
     enumerate_feasible_paths,
-    free_energy,
     graph_efficiency_stats,
     measure_from_chain,
-    partition_function,
     path_length,
-    relative_entropy,
-    shortest_path_matrix,
     solve_schrodinger,
-    total_variation,
 )
 
-from conftest import random_graph
+from conftest import conditioned_boltzmann, partition_function, random_graph, relative_entropy, \
+    shortest_path_matrix, total_variation
 
 
 def uniform_measure(paths, N):
@@ -146,31 +141,37 @@ class TestRelativeEntropy:
         assert chain_route == pytest.approx(measure_route, abs=1e-11)
 
 
+def free_energy(measure, T, g):
+    """F = L - T*S of a policy at temperature T, as `solve` and `oracle` write it."""
+    return average_path_length(measure, g) - T * entropy(measure)
+
+
 class TestFreeEnergy:
     def test_identity_holds(self, g9):
-        m = conditioned_boltzmann(g9, 2.0, 4)
-        rep = free_energy(m, 2.0, g9)
-        assert rep.free_energy == pytest.approx(
-            rep.average_length - 2.0 * rep.entropy, abs=1e-12)
-        assert rep.temperature == 2.0
+        # the delta-pinned bridge is the conditioned Boltzmann measure, so the
+        # chain form of L - T*S matches the explicit measure's
+        m = conditioned_boltzmann(g9, 2.0, 4, 1, 9)
+        sol = solve_schrodinger(boltzmann_prior(g9, 2.0, 4),
+                                delta_marginal(9, 1), delta_marginal(9, 9))
+        assert free_energy(sol, 2.0, g9) == pytest.approx(
+            average_path_length(m, g9) - 2.0 * entropy(m), abs=1e-12)
 
     def test_boltzmann_minimizes_free_energy(self, g9):
         # any competing measure on the same family pays at least as much
         T = 1.0
         star = conditioned_boltzmann(g9, T, 4)
-        f_star = free_energy(star, T, g9).free_energy
+        f_star = free_energy(star, T, g9)
         rng = np.random.default_rng(13)
         for _ in range(10):
             w = rng.dirichlet(np.ones(len(star.paths)))
             competitor = PathMeasure(4, star.paths, w)
-            assert free_energy(competitor, T, g9).free_energy >= f_star - 1e-12
+            assert free_energy(competitor, T, g9) >= f_star - 1e-12
 
     def test_free_energy_equals_minus_t_log_z(self, g9):
         T = 0.7
         star = conditioned_boltzmann(g9, T, 3)
         want = -T * math.log(partition_function(g9, T, 3))
-        assert free_energy(star, T, g9).free_energy == \
-            pytest.approx(want, abs=1e-11)
+        assert free_energy(star, T, g9) == pytest.approx(want, abs=1e-11)
 
 
 class TestTotalVariation:

@@ -31,24 +31,21 @@ from netbridge import (
     SolverConfig,
     as_marginal,
     boltzmann_prior,
-    conditioned_boltzmann,
     delta_marginal,
     endpoint_kernel,
     enumerate_feasible_paths,
     log_path_masses,
     measure_from_chain,
     oracle_bridge,
-    partition_function,
     path_length,
     restriction_ratio_check,
     ruelle_bowen_chain,
     solve_schrodinger,
-    total_variation,
     verify_battery,
     verify_equal_length_masses,
 )
 from netbridge.graph import step_reach
-from conftest import random_graph
+from conftest import conditioned_boltzmann, partition_function, random_graph, total_variation
 
 
 def at(n, *nodes):
@@ -473,6 +470,16 @@ class TestVerifyBattery:
             assert (value <= bound) == passes, value
             assert meta["pairs_checked"] == 40000
 
+    def test_inaccurate_diffuse_solve_on_g9_fails_iterated_bridge(self, g9):
+        # both sources reach 8 and 9 in 3 steps, so each draw's first pair
+        # ends on both, and its second pair can be diffuse at both ends
+        nu0 = as_marginal([0.5, 0.5, 0, 0, 0, 0, 0, 0, 0], 9)
+        nuN = as_marginal([0, 0, 0, 0, 0, 0, 0, 0.5, 0.5], 9)
+        cfg = SolverConfig(tol=1e-3)
+        sol = solve_schrodinger(boltzmann_prior(g9, 0.3, 3), nu0, nuN, cfg)
+        checks, _ = verify_battery(g9, sol, nu0, nuN, 0.3, cfg, grid=[1.0], pairs=2)
+        assert {name: v for name, v, _ in checks}["iterated-bridge"] >= 1e-6
+
     @settings(max_examples=30)
     @given(st.integers(0, 10_000), st.booleans())
     def test_every_check_passes_across_temperatures(self, seed, diffuse):
@@ -498,13 +505,12 @@ class TestVerifyBattery:
 OPTIMIZED_CHECKS = """
 import numpy as np
 import netbridge.oracle as oracle
-from netbridge import EfficiencyReport, NetbridgeError, boltzmann_prior, g9_network
+from netbridge import NetbridgeError, PathMeasure, boltzmann_prior, g9_network
 
 try:
-    EfficiencyReport(average_length=1.0, entropy=1.0, free_energy=5.0,
-                     temperature=1.0)
+    PathMeasure(1, [(1, 2), (1, 2)], [0.5, 0.5])  # a duplicate row
 except ValueError:
-    print("report raised")
+    print("measure raised")
 
 enumerate_all = oracle.step_paths
 oracle.step_paths = lambda *a, **k: enumerate_all(*a, **k)[1:]  # lose one path
@@ -522,4 +528,4 @@ def test_consistency_checks_survive_optimize_flag():
     done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["report raised", "kernel raised"]
+    assert done.stdout.splitlines() == ["measure raised", "kernel raised"]

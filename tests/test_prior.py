@@ -17,12 +17,11 @@ from netbridge import (
     chain_path_mass,
     enumerate_feasible_paths,
     log_path_masses,
-    partition_function,
     path_length,
     perron,
     ruelle_bowen_chain,
 )
-from conftest import dense_steps, edge_weights, random_graph
+from conftest import dense_steps, edge_weights, partition_function, random_graph
 
 
 def dense(chain):
