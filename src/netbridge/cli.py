@@ -431,9 +431,8 @@ def cmd_sweep(args) -> int:
             print(f"T={r.temperature:g}: {r.error}", file=sys.stderr)
     if args.format == "csv":
         header = ["T", "L", "S", "Var"] + [_path_key(p) for p in tracked]
-        table = [[r.temperature, sig12(r.average_length), sig12(r.entropy),
-                  sig12(r.variance)] + [sig12(r.path_masses[p]) for p in tracked]
-                 for r in rows]
+        table = [[r.temperature, r.average_length, r.entropy, r.variance]
+                 + [r.path_masses[p] for p in tracked] for r in rows]
         _emit(_csv_text(header, table), args.output)
     else:
         doc = [{"T": sig12(r.temperature), "L": sig12(r.average_length),
@@ -489,13 +488,9 @@ def cmd_calibrate(args) -> int:
         header = ["budget", "temperature", "at_bound", "achieved_length",
                   "entropy", "lower_bound", "upper_bound", "iterations"]
         lo, hi = res.bounds if res.bounds is not None else (float("nan"),) * 2
-        t_text = doc["temperature"] if isinstance(doc["temperature"], str) \
-            else f"{doc['temperature']:.12g}"
-        _emit(_csv_text(header, [[sig12(args.l_bar), t_text, int(res.at_bound),
-                                  sig12(res.achieved_length),
-                                  sig12(S) if S is not None else "",
-                                  sig12(lo), sig12(hi),
-                                  res.iterations]]), args.output)
+        _emit(_csv_text(header, [[args.l_bar, doc["temperature"], int(res.at_bound),
+                                  res.achieved_length, S if S is not None else "",
+                                  lo, hi, res.iterations]]), args.output)
     return 0
 
 
@@ -536,10 +531,7 @@ def cmd_metrics(args) -> int:
     if args.format == "json":
         _emit_json(doc, args.output)
     else:
-        header = list(doc)
-        _emit(_csv_text(header, [[doc[k] if not isinstance(doc[k], float)
-                                  else sig12(doc[k]) for k in header]]),
-              args.output)
+        _emit(_csv_text(list(doc), [list(doc.values())]), args.output)
     return 0
 
 

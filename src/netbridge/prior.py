@@ -162,15 +162,45 @@ def chain_path_mass(chain: PriorChain, p: Sequence[int]) -> float:
     return float(np.exp(log_path_masses(chain, [p])[0]))
 
 
+def _perron_vector(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
+    """(v, iterations): power iteration for the right Perron vector of
+    B[src[e], dst[e]] = w[e], normalized to max v = 1.
+
+    Stops once the Hilbert projective distance between successive iterates
+    is at most PERRON_TOL, ||Bv - lam v||_inf <= PERRON_TOL * lam, and that
+    residual no longer shrinks: on a slowly contracting B a step of
+    PERRON_TOL can still leave v 1e-11 from its limit.
+    """
+    v = np.ones(n)
+    res = float("inf")
+    for iterations in range(1, PERRON_MAX_ITER + 1):
+        Bv = np.bincount(src, w * v[dst], minlength=n)
+        lam = float(Bv.max())
+        if lam <= 0.0:
+            raise ConvergenceError("power iteration collapsed to zero; spectral radius is 0",
+                                   iterations=iterations)
+        v_new = Bv / lam
+        prev, res = res, float(np.abs(v_new - v).max())  # ||Bv - lam v||_inf / lam
+        if res <= PERRON_TOL and res >= prev and hilbert_distance(v_new, v) <= PERRON_TOL:
+            return v, iterations
+        v = v_new
+    raise ConvergenceError(
+        f"power iteration did not converge in {PERRON_MAX_ITER} iterations",
+        residual=res, iterations=PERRON_MAX_ITER,
+    )
+
+
 def perron(edges: EdgeIndex, weights) -> PerronTriple:
     """Dominant eigenvalue and eigenvectors of B, where B[src[e], dst[e]] is
     the linear weight weights[e] of each edge of `edges` and 0 off them.
 
-    Iterates B and its transpose (bincount products over the edges) with
-    sup-norm normalization until the Hilbert projective distance between
-    successive iterates is below PERRON_TOL and the eigen-residuals satisfy
-    ||Bv - lam v||_inf <= PERRON_TOL * lam * ||v||_inf (symmetrically for u).
-    The returned vectors satisfy sum(u * v) = 1 with ||v||_1 = 1.
+    Runs one power iteration (a bincount product over the edges, sup-norm
+    normalization) on B for v and another on its transpose for u.  Each
+    stops on its own once the Hilbert projective distance between
+    successive iterates is at most PERRON_TOL and its eigen-residual is at
+    most PERRON_TOL * lam * ||x||_inf and no longer shrinks.  Then
+    lam = u.Bv / u.v, and the returned vectors satisfy sum(u * v) = 1 with
+    ||v||_1 = 1.
 
     Reducible matrices are accepted as long as the iteration converges; the
     left eigenvector may then contain zeros (graphs with an absorbing
@@ -182,78 +212,14 @@ def perron(edges: EdgeIndex, weights) -> PerronTriple:
     if w.shape != (edges.E,) or np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError(f"weights must be {edges.E} nonnegative finite edge weights")
     n, src, dst = edges.n, edges.src, edges.dst
-
-    def right(x):  # B @ x
-        return np.bincount(src, w * x[dst], minlength=n)
-
-    def left(x):  # B.T @ x
-        return np.bincount(dst, w * x[src], minlength=n)
-
-    v = np.ones(n)
-    u = np.ones(n)
-    lam = 0.0
-    res_u = res_v = float("inf")
-    iterations = 0
-    for iterations in range(1, PERRON_MAX_ITER + 1):
-        Bv = right(v)
-        Btu = left(u)
-        nv = Bv.max()
-        nu = Btu.max()
-        if nv <= 0.0 or nu <= 0.0:
-            raise ConvergenceError(
-                "power iteration collapsed to zero; spectral radius is 0",
-                iterations=iterations,
-            )
-        v_new = Bv / nv
-        u_new = Btu / nu
-        dv = hilbert_distance(v_new, v)
-        du = hilbert_distance(u_new, u)
-        v, u = v_new, u_new
-        if dv <= PERRON_TOL and du <= PERRON_TOL:
-            denom = float(u @ v)
-            if denom <= 0.0:
-                raise ConvergenceError(
-                    "left and right iterates have disjoint supports; "
-                    "dominant eigenspace is degenerate",
-                    iterations=iterations,
-                )
-            lam = float(u @ right(v)) / denom
-            res_v = float(np.abs(right(v) - lam * v).max())
-            res_u = float(np.abs(left(u) - lam * u).max())
-            bound_v = PERRON_TOL * lam * float(np.abs(v).max())
-            bound_u = PERRON_TOL * lam * float(np.abs(u).max())
-            if res_v <= bound_v and res_u <= bound_u:
-                break
-    else:
-        raise ConvergenceError(
-            f"power iteration did not converge in {PERRON_MAX_ITER} iterations",
-            residual=max(res_u, res_v), iterations=PERRON_MAX_ITER,
-        )
-
-    # polish: keep iterating while the residuals still improve, so downstream
-    # stochastic-matrix constructions inherit near-machine accuracy
-    for _ in range(1000):
-        improved = False
-        v_try = right(v)
-        m = v_try.max()
-        if m > 0:
-            v_try /= m
-            r = float(np.abs(right(v_try) - lam * v_try).max())
-            if r < res_v:
-                v, res_v, improved = v_try, r, True
-        u_try = left(u)
-        m = u_try.max()
-        if m > 0:
-            u_try /= m
-            r = float(np.abs(left(u_try) - lam * u_try).max())
-            if r < res_u:
-                u, res_u, improved = u_try, r, True
-        if not improved:
-            break
+    v, it_v = _perron_vector(n, src, dst, w)
+    u, it_u = _perron_vector(n, dst, src, w)
+    iterations = max(it_v, it_u)
     denom = float(u @ v)
     if denom <= 0.0:
-        raise ConvergenceError("dominant eigenspace is degenerate", iterations=iterations)
-    lam = float(u @ right(v)) / denom
+        raise ConvergenceError("left and right iterates have disjoint supports; "
+                               "dominant eigenspace is degenerate", iterations=iterations)
+    lam = float(u @ np.bincount(src, w * v[dst], minlength=n)) / denom
     if lam <= 0.0:
         raise ConvergenceError("dominant eigenvalue is not positive", iterations=iterations)
     v = v / v.sum()
@@ -268,6 +234,10 @@ def ruelle_bowen_chain(g: DirectedGraph, T: float, N: int) -> PriorChain:
     vector: R_ij = B_ij v_j / (lam v_i) on each edge, started from the invariant
     measure mu(i) = u_i v_i.  Under this prior the mass of any path depends
     on its endpoints and total length only.
+
+    A row that misses 1 by more than 1e-9 raises InfeasibleError where v
+    vanishes at its node (the linear iterate can stall at a subnormal
+    instead of reaching 0), ConvergenceError otherwise.
     """
     check_temperature(T)
     if N < 1:
@@ -280,13 +250,17 @@ def ruelle_bowen_chain(g: DirectedGraph, T: float, N: int) -> PriorChain:
     # weights scales B, which the conjugation cancels
     shift = lw.max()
     trip = perron(edges, np.exp(lw - shift))
-    if np.any(trip.v <= 0):
-        i = int(np.argmin(trip.v)) + 1
-        raise InfeasibleError(
-            f"right Perron vector vanishes at node {i}; no stationary chain exists"
-        )
-    log_v = np.log(trip.v)
-    log_R = lw - shift + log_v[edges.dst] - np.log(trip.lam) - log_v[edges.src]
+    # a zero v_i makes row i inf or nan, which the row check below refuses
+    with np.errstate(all="ignore"):
+        log_v = np.log(trip.v)
+        log_R = lw - shift + log_v[edges.dst] - np.log(trip.lam) - log_v[edges.src]
+        rows = np.exp(edges.logsumexp(log_R))
+    for i in np.flatnonzero(~(np.abs(rows - 1.0) <= 1e-9))[:1]:
+        if trip.v[i] < np.finfo(float).tiny:
+            raise InfeasibleError(
+                f"right Perron vector vanishes at node {i + 1}; no stationary chain exists"
+            )
+        raise ConvergenceError(f"row {i + 1} of the Ruelle-Bowen chain sums to {rows[i]:.17g}")
     mu = trip.u * trip.v
     mu = mu / mu.sum()
     return PriorChain(edges, np.broadcast_to(log_R, (N, log_R.size)), mu)

@@ -8,6 +8,8 @@ next to its check.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,3 +389,13 @@ def test_perron_triples_support_the_entropy_walk(g9):
            f"eigen residual {worst_res:.2e}, Fibonacci gap {gap:.2e}, "
            f"row-sum deviation {row_dev:.2e}, stationarity {stat_dev:.2e} "
            f"(all tol 1e-12)")
+
+
+def test_readme_library_examples_run():
+    # every top-level python block of the README, each in a fresh namespace
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    report("README library examples run", len(blocks) >= 2,
+           f"{len(blocks)} python blocks ran without error (want at least 2)")

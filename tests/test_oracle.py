@@ -308,6 +308,8 @@ class TestEqualLengthReport:
                 chain = ruelle_bowen_chain(g, T, N)
             except NetbridgeError:
                 assume(False)
+        rows = np.exp(chain.edges.logsumexp(chain.log_weights[0]))
+        assert np.abs(rows - 1.0).max() <= 1e-9
         nu0, nuN = feasible_marginals(rng, g, N, diffuse)
         cfg = SolverConfig(tol=1e-13)  # solves to well within the 1e-12 compared
         over_prior = solve_schrodinger(boltzmann_prior(g, T, N), nu0, nuN, cfg)
@@ -346,6 +348,8 @@ class TestInvarianceChecks:
                 chain = ruelle_bowen_chain(g, T, N)
             except NetbridgeError:
                 assume(False)
+        rows = np.exp(chain.edges.logsumexp(chain.log_weights[0]))
+        assert np.abs(rows - 1.0).max() <= 1e-9
         solve = skewed(solve_schrodinger, skew * rng.standard_normal((N, len(g.edges))))
         prior = boltzmann_prior(g, T, N)
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)

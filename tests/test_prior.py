@@ -256,3 +256,11 @@ class TestRuelleBowen:
         g = DirectedGraph(3, ((1, 2, 1.0), (2, 3, 1.0)))
         with pytest.raises(InfeasibleError):
             ruelle_bowen_chain(g, 1.0, 2)
+
+    def test_refuses_rows_that_miss_one(self):
+        # the top class {1} is not final, so v_2 = 0 and no chain exists; the
+        # linear iterate of v_2 stalls at a subnormal instead of reaching 0
+        g = DirectedGraph(2, ((1, 1, 1.0), (1, 2, 1.0), (2, 2, 2.0)))
+        for T in (1.0, 3.0, 10.0, 100.0):
+            with pytest.raises(InfeasibleError, match="vanishes at node 2"):
+                ruelle_bowen_chain(g, T, 2)
