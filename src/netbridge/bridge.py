@@ -99,11 +99,8 @@ def push_flow(edges: EdgeIndex, mu0: np.ndarray, transitions) -> np.ndarray:
 def _check_feasible(prior: PriorChain, supp0: np.ndarray, suppN: np.ndarray) -> None:
     # A route between supported endpoints needs positive weight at every
     # step, whatever the product of those weights; decide on support alone.
-    targets = np.flatnonzero(suppN)
-    ends = np.zeros((prior.n, targets.size), dtype=bool)
-    ends[targets, np.arange(targets.size)] = True
-    reach = step_reach(prior.edges, prior.support, ends)[0]
-    require_routes(reach[supp0], supp0, suppN, prior.N)
+    ends = np.arange(prior.n)[:, None] == np.flatnonzero(suppN)
+    require_routes(step_reach(prior.edges, prior.support, ends)[supp0], supp0, suppN, prior.N)
 
 
 def solve_schrodinger(prior: PriorChain, nu0, nuN,

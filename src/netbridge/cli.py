@@ -282,11 +282,8 @@ def _flow_doc(g: DirectedGraph, sol: BridgeSolution, T: float, bits: bool,
     }
     if bits:
         doc["entropy_bits"] = S / LN2
-    sources = [int(i) + 1 for i in np.flatnonzero(sol.marginals[0] > 0)]
-    targets = [int(j) + 1 for j in np.flatnonzero(sol.marginals[sol.N] > 0)]
-    # one counting pass per target gives the counts from every source
-    n_paths = sum(int(path_counts(g, sol.N, target=j)[np.array(sources) - 1].sum())
-                  for j in targets)
+    # one counting pass into supp nuN gives the counts from every source
+    n_paths = int(path_counts(g, sol.N, sol.marginals[sol.N] > 0)[sol.marginals[0] > 0].sum())
     doc["path_count"] = n_paths
     if n_paths <= path_cap:
         measure = measure_from_chain(rounded, path_cap)

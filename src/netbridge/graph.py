@@ -231,23 +231,22 @@ def path_lengths(g: DirectedGraph, paths: np.ndarray) -> np.ndarray:
     return total
 
 
-def step_reach(edges: EdgeIndex, supports, ends: np.ndarray) -> list[np.ndarray]:
+def step_reach(edges: EdgeIndex, supports, ends: np.ndarray) -> np.ndarray:
     """Which nodes reach the end set along per-step edge supports.
 
     `supports[t]` is the boolean support of step t over the E edges of
     `edges` (an (N, E) array or a sequence of E-vectors); `ends` is a
     boolean vector over nodes, or an n x k matrix holding k end sets as
-    columns.  Returns ok with ok[t][v-1] true when some walk from v along
-    steps t..N-1 ends in the end set; ok[N] is `ends` itself.  Only
-    support is used, never weights, so no magnitude can underflow.
+    columns.  Returns an array shaped like `ends`, true at row v-1 when some
+    walk from v along steps 0..N-1 ends in the end set (of that column),
+    from a backward pass that keeps two levels at a time.  Only support is
+    used, never weights, so no magnitude can underflow.
     """
     ends = np.asarray(ends, dtype=bool)
-    ok = [ends if ends.ndim == 2 else ends[:, None]]
+    ok = ends if ends.ndim == 2 else ends[:, None]
     for S in reversed(supports):
-        live = np.asarray(S, dtype=bool)[:, None] & ok[-1][edges.dst]
-        ok.append(edges.reduce(np.logical_or, live, empty=False))
-    ok.reverse()
-    return [x.reshape(ends.shape) for x in ok]
+        ok = edges.reduce(np.logical_or, np.asarray(S, dtype=bool)[:, None] & ok[edges.dst], False)
+    return ok.reshape(ends.shape)
 
 
 def path_sum_range(edges: EdgeIndex, supports, values: np.ndarray,
@@ -255,21 +254,22 @@ def path_sum_range(edges: EdgeIndex, supports, values: np.ndarray,
     """(lo, hi): lo[t][v-1] and hi[t][v-1] are the min and max of
     sum_{s>=t} values[s, e_s] over the paths e_t..e_{N-1} from node v into
     `target` whose step s runs along an edge in supports[s]; (+inf, -inf) at
-    a node with no such path.  Like step_reach's ok, each is a list of N+1
-    node vectors, and lo[N], hi[N] are 0 at `target`.
+    a node with no such path.  Each is a list of N+1 node vectors, and
+    lo[N], hi[N] are 0 at `target`.
 
     One min-plus and one max-plus pass backward from `target` (1-based),
-    each taken only over edges whose head still reaches it, so values off
+    each taken only over edges whose head still reaches it (lo < inf or
+    hi > -inf there, for values whose sums form no NaN), so values off
     those edges (-inf, say) never meet an infinite tail.
     """
     n = edges.n
     if not (1 <= target <= n):
         raise ValueError(f"target node {target} out of range 1..{n}")
     ends = np.arange(1, n + 1) == target
-    ok = step_reach(edges, supports, ends)
     lo, hi = [np.where(ends, 0.0, np.inf)], [np.where(ends, 0.0, -np.inf)]
     for t in range(len(supports) - 1, -1, -1):
-        live = np.asarray(supports[t], dtype=bool) & ok[t + 1][edges.dst]
+        reach = (lo[-1] < np.inf) | (hi[-1] > -np.inf)
+        live = np.asarray(supports[t], dtype=bool) & reach[edges.dst]
         step = np.where(live, values[t], 0.0)
         for out, ufunc, none in ((lo, np.minimum, np.inf), (hi, np.maximum, -np.inf)):
             out.append(edges.reduce(ufunc, np.where(live, step + out[-1][edges.dst], none), none))
@@ -356,21 +356,19 @@ def enumerate_feasible_paths(
                                       source, target, cap).tolist()))
 
 
-def path_counts(g: DirectedGraph, N: int, target: int | None = None) -> np.ndarray:
-    """Number of N-step paths from every node (into `target` if given).
+def path_counts(g: DirectedGraph, N: int, ends=None) -> np.ndarray:
+    """Number of N-step paths from every node into the boolean node set
+    `ends` (an n-vector; every node if None).
 
-    Counted by a backward recursion over the edge list in Python ints (an
+    Counted by one backward recursion over the edge list in Python ints (an
     object array), so counts stay exact past 2**64.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    if target is None:
-        counts = np.ones(g.n, dtype=object)
-    else:
-        if not (1 <= target <= g.n):
-            raise ValueError(f"target node {target} out of range 1..{g.n}")
-        counts = np.zeros(g.n, dtype=object)
-        counts[target - 1] = 1
+    ends = np.ones(g.n, dtype=bool) if ends is None else np.asarray(ends, dtype=bool)
+    if ends.shape != (g.n,):
+        raise ValueError(f"ends must have shape ({g.n},), got {ends.shape}")
+    counts = ends.astype(int).astype(object)
     edges = g.edge_index
     for _ in range(N):
         counts = edges.reduce(np.add, counts[edges.dst], empty=0)
@@ -381,7 +379,10 @@ def count_feasible_paths(g: DirectedGraph, N: int, source: int | None = None,
                          target: int | None = None) -> int:
     """Number of N-step feasible paths, computed by counting DP (no enumeration;
     no command calls it, and perfbench/trace_child.py traces it by this name)."""
-    counts = path_counts(g, N, target)
+    for name, x in (("source", source), ("target", target)):
+        if x is not None and not (1 <= x <= g.n):
+            raise ValueError(f"{name} node {x} out of range 1..{g.n}")
+    counts = path_counts(g, N, None if target is None else np.arange(1, g.n + 1) == target)
     return int(counts[source - 1] if source is not None else counts.sum())
 
 

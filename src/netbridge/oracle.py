@@ -166,7 +166,7 @@ def verify_equal_length_masses(g: DirectedGraph, T: float, N: int,
     prior = boltzmann_prior(g, T, N)
     pairs, max_spread = 0, 0.0
     for targets in np.array_split(np.arange(g.n), range(REACH_CHUNK, g.n, REACH_CHUNK)):
-        reach = step_reach(prior.edges, prior.support, np.arange(g.n)[:, None] == targets)[0]
+        reach = step_reach(prior.edges, prior.support, np.arange(g.n)[:, None] == targets)
         pairs += int(np.count_nonzero(reach))
         for k in np.flatnonzero(reach.any(axis=0)):
             j, sources = int(targets[k]), reach[:, k]
@@ -251,7 +251,7 @@ def verify_battery(g: DirectedGraph, sol: BridgeSolution, nu0, nuN, T: float,
     source, target = int(np.argmax(nu0)) + 1, int(np.argmax(nuN)) + 1
     rng = np.random.default_rng(VERIFY_SEED)
     nodes, back = np.arange(g.n), EdgeIndex(g.n, prior.edges.dst, prior.edges.src)
-    reach = step_reach(prior.edges, prior.support, nodes == target - 1)[0]
+    reach = step_reach(prior.edges, prior.support, nodes == target - 1)
     sources, dev = np.flatnonzero(reach), 0.0
 
     def on(support):
@@ -261,7 +261,7 @@ def verify_battery(g: DirectedGraph, sol: BridgeSolution, nu0, nuN, T: float,
 
     for _ in range(pairs):
         a1 = rng.choice(sources, min(sources.size, int(rng.integers(2, 5))), replace=False)
-        joint = step_reach(back, prior.support[::-1], nodes[:, None] == a1)[0].all(axis=1)
+        joint = step_reach(back, prior.support[::-1], nodes[:, None] == a1).all(axis=1)
         joint[target - 1] = False
         b1 = np.unique(np.append(target - 1, rng.choice(
             np.flatnonzero(joint), min(int(joint.sum()), ITERATED_CANDIDATES), replace=False)))

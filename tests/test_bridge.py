@@ -38,8 +38,8 @@ from netbridge import (
     solve_schrodinger,
 )
 from netbridge._numeric import hilbert_distance
-from netbridge.bridge import ARGMAX_REL_TOL
-from netbridge.graph import path_sum_range, step_paths
+from netbridge.bridge import ARGMAX_REL_TOL, _check_feasible
+from netbridge.graph import EdgeIndex, path_sum_range, step_paths, step_reach
 from netbridge.cli import main
 from conftest import conditioned_boltzmann, dense_steps, random_graph, total_variation
 
@@ -532,3 +532,20 @@ class TestEdgeLayout:
             tracemalloc.stop()
         assert sol.transitions.shape == (N, len(g.edges))
         assert peak < 50 * 2 ** 20
+
+    def test_feasibility_reach_keeps_two_levels(self):
+        # node 1 of g1000 into the 994 nodes it reaches in 30 steps: all 31
+        # levels of the 1000 x 994 reach peaked at 43 MB
+        g = random_graph(np.random.default_rng(1), 1000, 0.005)
+        prior = boltzmann_prior(g, 1.0, 30)
+        e = g.edge_index
+        supp0 = np.arange(1, g.n + 1) == 1
+        suppN = step_reach(EdgeIndex(g.n, e.dst, e.src), prior.support[::-1], supp0)
+        assert suppN.sum() == 994
+        tracemalloc.start()
+        try:
+            _check_feasible(prior, supp0, suppN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20

@@ -193,13 +193,14 @@ class TestSolve:
         assert doc["path_masses"]["1-2-7-9"] == pytest.approx(
             1.0 / (1.0 + 2.0 * np.e), abs=1e-9)
 
-    def test_path_count_counts_once_per_target(self, capsys, monkeypatch, tmp_path):
+    def test_path_count_counts_in_one_pass(self, capsys, monkeypatch, tmp_path):
+        # one exact count pass into supp nuN gives the counts from every source
         import netbridge.cli as cli
         calls = []
 
-        def counting(g, N, target=None):
-            calls.append(target)
-            return path_counts(g, N, target)
+        def counting(g, N, ends=None):
+            calls.append(np.flatnonzero(ends) + 1)
+            return path_counts(g, N, ends)
 
         monkeypatch.setattr(cli, "path_counts", counting)
         g = DirectedGraph(5, tuple((u, v, 1.0 + (u * v) % 3) for u in range(1, 6)
@@ -213,7 +214,7 @@ class TestSolve:
         per_pair = sum(count_feasible_paths(g, 4, source=s, target=t)
                        for s in (1, 2, 3) for t in (2, 4))
         assert json.loads(out)["path_count"] == per_pair
-        assert sorted(calls) == [2, 4]
+        assert [c.tolist() for c in calls] == [[2, 4]]
 
     def test_entropy_bits_flag(self, capsys):
         _, out, _ = run(capsys, *SOLVE_G9, "--bits")

@@ -19,6 +19,7 @@ from netbridge import (
     enumerate_feasible_paths,
     g9_network,
     load_graph,
+    path_counts,
     path_length,
 )
 from netbridge.graph import EdgeIndex, path_sum_range, step_paths, step_reach
@@ -197,6 +198,33 @@ class TestEnumeration:
                                     for v in range(1, 21)))
         assert count_feasible_paths(g, 16) == 20 ** 17
         assert count_feasible_paths(g, 16, source=3, target=7) == 20 ** 15
+        # one pass into 4 targets, summed over 3 sources, as solve counts
+        got = path_counts(g, 16, np.isin(np.arange(1, 21), [1, 7, 19, 20]))[[1, 4, 10]].sum()
+        assert got == 12 * 20 ** 15
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_one_count_pass_into_a_node_set_sums_the_pairs(self, data):
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        g = random_graph(np.random.default_rng(seed), data.draw(st.integers(1, 7)))
+        N = data.draw(st.integers(0, 5))
+        nodes = st.sets(st.integers(1, g.n), min_size=1, max_size=4)
+        supp0, suppN = sorted(data.draw(nodes)), sorted(data.draw(nodes))
+        got = path_counts(g, N, np.isin(np.arange(1, g.n + 1), suppN))[np.array(supp0) - 1]
+        assert got.sum() == sum(count_feasible_paths(g, N, source=i, target=j)
+                                for i in supp0 for j in suppN)
+
+    def test_path_counts_rejects_ends_of_another_shape(self, g9):
+        for ends in (np.ones(8, dtype=bool), np.ones(10, dtype=bool),
+                     np.ones((9, 1), dtype=bool), True):
+            with pytest.raises(ValueError, match=r"ends must have shape \(9,\)"):
+                path_counts(g9, 3, ends)
+
+    @pytest.mark.parametrize("name", ["source", "target"])
+    @pytest.mark.parametrize("node", [0, -1, 10])
+    def test_count_rejects_out_of_range_endpoints(self, g9, name, node):
+        with pytest.raises(ValueError, match=f"^{name} node {node} out of range 1..9$"):
+            count_feasible_paths(g9, 4, **{name: node})
 
     def test_edge_index_lookup(self, g9):
         edges = g9.edge_index
@@ -293,9 +321,9 @@ class TestStepRoutines:
         want = np.zeros((n, n), dtype=bool)
         for p in paths:
             want[p[0] - 1, p[-1] - 1] = True
-        assert (step_reach(edges, rows, np.eye(n, dtype=bool))[0] == want).all()
+        assert (step_reach(edges, rows, np.eye(n, dtype=bool)) == want).all()
         for j in range(1, n + 1):
-            column = step_reach(edges, rows, np.arange(1, n + 1) == j)[0]
+            column = step_reach(edges, rows, np.arange(1, n + 1) == j)
             assert (column == want[:, j - 1]).all()
 
     @settings(max_examples=100)
@@ -357,7 +385,7 @@ class TestStepRoutines:
         src, dst = np.nonzero(~np.eye(257, dtype=bool))
         edges = EdgeIndex(257, src, dst)
         rows = np.ones((2, edges.E), dtype=bool)
-        assert step_reach(edges, rows, np.eye(257, dtype=bool))[0].all()
+        assert step_reach(edges, rows, np.eye(257, dtype=bool)).all()
 
 
 class TestShortestPaths:

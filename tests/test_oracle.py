@@ -58,7 +58,7 @@ def feasible_marginals(rng, g, N, diffuse):
     routes: up to 3 targets and every node reaching all of them if
     `diffuse`, else one node each; rejects the draw when no node qualifies."""
     reach = step_reach(g.edge_index, np.ones((N, len(g.edges)), dtype=bool),
-                       np.eye(g.n, dtype=bool))[0]
+                       np.eye(g.n, dtype=bool))
     targets = rng.permutation(np.flatnonzero(reach.any(axis=0)))[:3 if diffuse else 1]
     sources = np.flatnonzero(reach[:, targets].all(axis=1))
     assume(sources.size)
